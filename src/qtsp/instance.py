@@ -42,6 +42,8 @@ class Instance:
         n = dist.shape[0]
         if n < 2:
             raise InvalidInstanceError("an instance needs at least 2 cities")
+        if not np.all(np.isfinite(dist)):
+            raise InvalidInstanceError("distances must be finite")
         if not np.array_equal(dist, dist.T):
             raise InvalidInstanceError("distance matrix must be symmetric")
         if np.any(np.diagonal(dist) != 0.0):

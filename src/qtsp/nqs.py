@@ -71,18 +71,8 @@ class RbmParams:
         flat = np.asarray(flat, dtype=float)
         if flat.shape != (expected,):
             raise ValueError(f"flat vector must have length {expected}, got {flat.shape}")
-        pos = 0
-
-        def take(count):
-            nonlocal pos
-            out = flat[pos: pos + count]
-            pos += count
-            return out
-
-        a = take(m) + 1j * take(m)
-        b = take(h) + 1j * take(h)
-        w = (take(h * m) + 1j * take(h * m)).reshape(h, m)
-        return cls(a=a, b=b, w=w)
+        a_re, a_im, b_re, b_im, w_re, w_im = np.split(flat, np.cumsum([m, m, h, h, h * m]))
+        return cls(a=a_re + 1j * a_im, b=b_re + 1j * b_im, w=(w_re + 1j * w_im).reshape(h, m))
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,11 +86,14 @@ class CnnParams:
     dense_b: complex
 
     def __post_init__(self):
-        w = np.asarray(self.w, dtype=np.complex128)
-        b = np.asarray(self.b, dtype=np.complex128)
-        dw = np.asarray(self.dense_w, dtype=np.complex128)
+        # read-only copies: the evaluation caches derived forms per object
+        w = np.array(self.w, dtype=np.complex128)
+        b = np.array(self.b, dtype=np.complex128)
+        dw = np.array(self.dense_w, dtype=np.complex128)
         if w.ndim != 2 or b.shape != (w.shape[1],) or dw.shape != (w.shape[1],):
             raise ValueError("inconsistent convolution/dense shapes")
+        for array in (w, b, dw):
+            array.setflags(write=False)
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "dense_w", dw)
@@ -133,19 +126,10 @@ class CnnParams:
         flat = np.asarray(flat, dtype=float)
         if flat.shape != (expected,):
             raise ValueError(f"flat vector must have length {expected}, got {flat.shape}")
-        pos = 0
-
-        def take(count):
-            nonlocal pos
-            out = flat[pos: pos + count]
-            pos += count
-            return out
-
-        w = (take(k * f) + 1j * take(k * f)).reshape(k, f)
-        b = take(f) + 1j * take(f)
-        dense_w = take(f) + 1j * take(f)
-        dense_b = complex(take(1)[0], take(1)[0])
-        return cls(w=w, b=b, dense_w=dense_w, dense_b=dense_b)
+        w_re, w_im, b_re, b_im, dw_re, dw_im, db = np.split(
+            flat, np.cumsum([k * f, k * f, f, f, f, f]))
+        return cls(w=(w_re + 1j * w_im).reshape(k, f), b=b_re + 1j * b_im,
+                   dense_w=dw_re + 1j * dw_im, dense_b=complex(db[0], db[1]))
 
 
 NetworkParams = RbmParams | CnnParams
@@ -223,6 +207,33 @@ def rbm_log_derivatives(params: RbmParams, sigmas: np.ndarray) -> np.ndarray:
     return np.concatenate([g_a, 1j * g_a, t, 1j * t, g_w, 1j * g_w], axis=1)
 
 
+def _centred_weights(energies: np.ndarray, batch: int) -> np.ndarray:
+    """c = (E - mean E) / S, the per-sample weights of the covariance gradient."""
+    e = np.asarray(energies, dtype=float)
+    if e.shape != (batch,):
+        raise ValueError(f"energies {e.shape} do not match {batch} configurations")
+    if batch < 2:
+        raise ValueError("gradient estimation needs at least two configurations")
+    shifted = e - e[0]  # exact zeros for a constant batch
+    return (shifted - shifted.mean()) / batch
+
+
+def rbm_energy_gradient(params: RbmParams, sigmas: np.ndarray, energies: np.ndarray) -> np.ndarray:
+    """Flat real covariance gradient 2 Re sum_b c_b conj(O_b), c = (E - mean E) / S,
+    without the (B, 2P) log-derivative matrix.
+
+    With conj t = conj(tanh theta) the complex sums are c^T sigma for a,
+    c^T conj t for b and (c * conj t)^T sigma for W; since the amplitude is
+    holomorphic, the (Re, Im) entries of each block are 2 Re G and 2 Im G.
+    """
+    sigmas = np.asarray(sigmas, dtype=float)
+    if sigmas.ndim != 2 or sigmas.shape[1] != params.n_visible:
+        raise ValueError(f"expected (B, {params.n_visible}) spin batch, got {sigmas.shape}")
+    c = _centred_weights(energies, sigmas.shape[0])
+    t = np.conj(np.tanh(sigmas @ params.w.T + params.b))     # (B, H)
+    return 2.0 * RbmParams(a=c @ sigmas, b=c @ t, w=(c[:, None] * t).T @ sigmas).to_flat()
+
+
 # ---------------------------------------------------------------------------
 # periodic convolutional network
 # ---------------------------------------------------------------------------
@@ -232,6 +243,27 @@ def _window_index(n: int, k: int) -> np.ndarray:
     idx = (np.arange(n)[:, None] + np.arange(k)[None, :]) % n
     idx.setflags(write=False)
     return idx
+
+
+@lru_cache(maxsize=8)
+def _cnn_unrolled(params: CnnParams, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The network unrolled over a ring of n levels in real arithmetic:
+    levels @ conv + bias are the (B, n*2F) pre-activations [Re | Im] of
+    every position (conv is the circulant of [Re w | Im w]), and
+    rectified @ dense is the position sum and the dense output neuron.
+    Cached per parameter object, whose arrays are read-only."""
+    k, f = params.kernel_size, params.n_channels
+    if k > n:
+        raise ValueError(f"kernel size {k} exceeds configuration length {n}")
+    filters = np.zeros((n, 2 * f))
+    filters[:k] = np.concatenate([params.w.real, params.w.imag], axis=1)
+    shift = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n   # (level, position)
+    conv = filters[shift].reshape(n, n * 2 * f)
+    bias = np.tile(np.concatenate([params.b.real, params.b.imag]), n)
+    dense = np.tile(np.concatenate([params.dense_w, 1j * params.dense_w]), n)
+    for array in (conv, bias, dense):
+        array.setflags(write=False)
+    return conv, bias, dense
 
 
 def _cnn_preactivations(params: CnnParams, levels: np.ndarray) -> np.ndarray:
@@ -253,14 +285,16 @@ def cnn_log_psi(params: CnnParams, config: np.ndarray) -> complex | np.ndarray:
     """log psi for level sequences (single (N,) config or (B, N) batch).
 
     Circular convolution over the raw integer levels, split-complex
-    rectifier, sum over positions, dense output neuron.
+    rectifier, sum over positions, dense output neuron. The real and
+    imaginary channels stay 2F real columns until the dense layer.
     """
     config = np.asarray(config, dtype=float)
     single = config.ndim == 1
     levels = config.reshape(-1, config.shape[-1])
-    act = _split_relu(_cnn_preactivations(params, levels))
-    pooled = act.sum(axis=1)                                    # (B, F)
-    value = pooled @ params.dense_w + params.dense_b
+    conv, bias, dense = _cnn_unrolled(params, levels.shape[1])
+    pre = levels @ conv
+    pre += bias
+    value = np.maximum(pre, 0.0, out=pre) @ dense + params.dense_b
     return complex(value[0]) if single else value
 
 
@@ -316,6 +350,37 @@ def cnn_log_derivatives(params: CnnParams, configs: np.ndarray) -> np.ndarray:
     )
 
 
+def cnn_energy_gradient(params: CnnParams, configs: np.ndarray, energies: np.ndarray) -> np.ndarray:
+    """Flat real covariance gradient 2 Re sum_b c_b conj(O_b), c = (E - mean E) / S,
+    without the (B, 2P) log-derivative matrix.
+
+    The weights c fold into the (B*N, K+1) matrix of windows with a
+    constant bias column; one GEMM against the (B*N, 2F) rectifier masks
+    sums every filter and bias term, and the dense weight enters as
+    2 Re conj(dense_w) = 2 Re dense_w for the real channels and
+    2 Re(-i conj(dense_w)) = -2 Im dense_w for the imaginary ones.
+    """
+    configs = np.asarray(configs, dtype=float)
+    if configs.ndim != 2:
+        raise ValueError(f"expected a (B, N) batch, got shape {configs.shape}")
+    batch, n = configs.shape
+    k, f = params.kernel_size, params.n_channels
+    c = _centred_weights(energies, batch)
+    conv, bias, _ = _cnn_unrolled(params, n)
+    pre = (configs @ conv + bias).reshape(batch * n, 2 * f)
+    mask = pre > 0
+    pooled = np.maximum(pre, 0.0, out=pre).reshape(batch, n, 2 * f).sum(axis=1)   # (B, 2F)
+
+    windows = configs[:, _window_index(n, k)].reshape(batch * n, k)
+    weighted = np.repeat(c, n)[:, None] * np.column_stack([windows, np.ones(batch * n)])
+    sign = np.repeat([2.0, -2.0], f)
+    g = (weighted.T @ mask) * (sign * np.concatenate([params.dense_w.real, params.dense_w.imag]))
+    g_dense = sign * (c @ pooled)
+    return np.concatenate(
+        [g[:k, :f].ravel(), g[:k, f:].ravel(), g[k, :f], g[k, f:], g_dense, [2.0 * c.sum(), 0.0]]
+    )
+
+
 def cnn_grad_log_psi(params: CnnParams, config: np.ndarray) -> CnnGrad:
     """Exact single-configuration gradient of log psi."""
     config = np.asarray(config, dtype=float)
@@ -323,24 +388,10 @@ def cnn_grad_log_psi(params: CnnParams, config: np.ndarray) -> CnnGrad:
         raise ValueError("cnn_grad_log_psi takes a single configuration")
     k, f = params.kernel_size, params.n_channels
     row = cnn_log_derivatives(params, config[None, :])[0]
-    pos = 0
-
-    def take(count):
-        nonlocal pos
-        out = row[pos: pos + count]
-        pos += count
-        return out
-
-    return CnnGrad(
-        w_re=take(k * f).reshape(k, f),
-        w_im=take(k * f).reshape(k, f),
-        b_re=take(f),
-        b_im=take(f),
-        dense_w_re=take(f),
-        dense_w_im=take(f),
-        dense_b_re=complex(take(1)[0]),
-        dense_b_im=complex(take(1)[0]),
-    )
+    w_re, w_im, b_re, b_im, dw_re, dw_im, db = np.split(row, np.cumsum([k * f, k * f, f, f, f, f]))
+    return CnnGrad(w_re=w_re.reshape(k, f), w_im=w_im.reshape(k, f), b_re=b_re, b_im=b_im,
+                   dense_w_re=dw_re, dense_w_im=dw_im,
+                   dense_b_re=complex(db[0]), dense_b_im=complex(db[1]))
 
 
 # ---------------------------------------------------------------------------

@@ -120,8 +120,8 @@ class QuditCnnAnsatz:
     def log_psi_tours(self, tours: np.ndarray) -> np.ndarray:
         return np.asarray(nqs.cnn_log_psi(self.params, np.asarray(tours, dtype=float)))
 
-    def log_derivatives(self, tours: np.ndarray) -> np.ndarray:
-        return nqs.cnn_log_derivatives(self.params, np.asarray(tours, dtype=float))
+    def energy_gradient(self, tours: np.ndarray, energies: np.ndarray) -> np.ndarray:
+        return nqs.cnn_energy_gradient(self.params, np.asarray(tours, dtype=float), energies)
 
     def get_flat(self) -> np.ndarray:
         return self.params.to_flat()
@@ -143,8 +143,8 @@ class QubitRbmAnsatz:
     def log_psi_tours(self, tours: np.ndarray) -> np.ndarray:
         return np.asarray(nqs.rbm_log_psi(self.params, tours_to_sigma(tours)))
 
-    def log_derivatives(self, tours: np.ndarray) -> np.ndarray:
-        return nqs.rbm_log_derivatives(self.params, tours_to_sigma(tours))
+    def energy_gradient(self, tours: np.ndarray, energies: np.ndarray) -> np.ndarray:
+        return nqs.rbm_energy_gradient(self.params, tours_to_sigma(tours), energies)
 
     def get_flat(self) -> np.ndarray:
         return self.params.to_flat()
@@ -365,8 +365,7 @@ def train(
             reason = "max-steps"
             break
 
-        o_matrix = ansatz.log_derivatives(sample.configs)
-        grad = estimate_gradient(energies, o_matrix)
+        grad = ansatz.energy_gradient(sample.configs, energies)
         adam, theta = adam_update(adam, theta, grad, cfg)
         ansatz.set_flat(theta)
 

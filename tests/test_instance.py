@@ -52,6 +52,16 @@ class TestInstanceValidation:
         with pytest.raises(InvalidInstanceError):
             Instance(dist=d)
 
+    def test_rejects_infinite(self):
+        d = np.array([[0.0, np.inf, 1.0], [np.inf, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        with pytest.raises(InvalidInstanceError, match="finite"):
+            Instance(dist=d)
+
+    def test_rejects_nan_as_non_finite(self):
+        d = np.array([[0.0, np.nan], [np.nan, 0.0]])
+        with pytest.raises(InvalidInstanceError, match="finite"):
+            Instance(dist=d)
+
 
 def test_planted_optimum():
     assert planted_optimum(4) == 6.0

@@ -1,9 +1,13 @@
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import finite_difference, kink_free_cnn_params
 from qtsp import nqs
+from qtsp.encoding import tours_to_sigma
+from qtsp.vmc import estimate_gradient
 
 mp.mp.dps = 50
 
@@ -166,10 +170,30 @@ class TestCnnLogPsi:
         single = np.array([nqs.cnn_log_psi(params, config) for config in configs])
         np.testing.assert_allclose(batch, single, rtol=0, atol=1e-12)
 
+    def test_params_are_read_only_copies(self):
+        w = np.zeros((2, 3), dtype=complex)
+        params = nqs.CnnParams(w=w, b=np.zeros(3), dense_w=np.ones(3), dense_b=0.0)
+        w[0, 0] = 1.0
+        assert params.w[0, 0] == 0.0
+        with pytest.raises(ValueError):
+            params.w[0, 0] = 1.0
+
     def test_kernel_larger_than_ring(self):
         params = nqs.init_params("cnn", (5, 2), 0.1, 0)
         with pytest.raises(ValueError):
             nqs.cnn_log_psi(params, np.array([1, 2, 3]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 12), batch=st.integers(1, 8), kernel=st.integers(1, 12),
+           channels=st.integers(1, 6), scale=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_random_shapes_match_loop_oracle(self, n, batch, kernel, channels, scale, seed):
+        rng = np.random.default_rng(seed)
+        params = nqs.init_params("cnn", (min(kernel, n), channels), scale, seed)
+        configs = np.stack([rng.permutation(np.arange(1, n + 1)) for _ in range(batch)])
+        values = nqs.cnn_log_psi(params, configs)
+        for value, config in zip(values, configs):
+            ref = loop_cnn_log_psi(params, config)
+            assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
 class TestCnnGrad:
@@ -212,6 +236,80 @@ class TestCnnGrad:
         o = nqs.cnn_log_derivatives(params, configs.astype(float))
         for row, config in zip(o, configs):
             np.testing.assert_array_equal(row, nqs.cnn_grad_log_psi(params, config.astype(float)).to_flat())
+
+
+def _random_energies(rng, batch, constant):
+    if constant:
+        return np.full(batch, rng.uniform(0.0, 100.0))
+    return rng.uniform(0.0, 100.0) + rng.uniform(0.0, 10.0) * rng.standard_normal(batch)
+
+
+def _assert_matches_oracle(grad, oracle, energies, o_matrix, constant):
+    """Agreement within 1e-12 max(1, |g|_inf), plus the oracle's own rounding.
+
+    The oracle centres E with a weighted mean, whose error of about
+    eps |E|_inf reaches g through sums of |O| entries; where the exact
+    gradient cancels to ~0 (a K=1 filter on permutations gives every
+    configuration the same O) that rounding alone exceeds 1e-12.
+    """
+    assert grad.shape == oracle.shape
+    rounding = 1e-14 * float(np.abs(energies).max()) * float(np.abs(o_matrix).max())
+    np.testing.assert_allclose(
+        grad, oracle, rtol=0, atol=1e-12 * max(1.0, float(np.abs(oracle).max())) + rounding)
+    if constant:
+        assert np.all(grad == 0.0)
+
+
+class TestEnergyGradient:
+    """The contracted gradients against estimate_gradient over the explicit
+    (B, 2P) log-derivative matrix."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 12), batch=st.integers(2, 64), hidden=st.integers(1, 24),
+           scale=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1), constant=st.booleans())
+    @example(n=6, batch=64, hidden=12, scale=0.1, seed=0, constant=False)
+    @example(n=12, batch=512, hidden=24, scale=0.02, seed=1, constant=False)
+    @example(n=12, batch=33, hidden=5, scale=0.5, seed=2, constant=True)
+    def test_rbm_matches_oracle(self, n, batch, hidden, scale, seed, constant):
+        rng = np.random.default_rng(seed)
+        params = nqs.init_params("rbm", (n * n, hidden), scale, seed)
+        sigmas = tours_to_sigma(np.stack([rng.permutation(np.arange(1, n + 1))
+                                          for _ in range(batch)]))
+        energies = _random_energies(rng, batch, constant)
+        o_matrix = nqs.rbm_log_derivatives(params, sigmas)
+        _assert_matches_oracle(nqs.rbm_energy_gradient(params, sigmas, energies),
+                               estimate_gradient(energies, o_matrix), energies, o_matrix, constant)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 12), batch=st.integers(2, 64), kernel=st.integers(1, 12),
+           channels=st.integers(1, 8), scale=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1), constant=st.booleans())
+    @example(n=6, batch=64, kernel=3, channels=4, scale=0.3, seed=0, constant=False)
+    @example(n=12, batch=512, kernel=6, channels=8, scale=0.02, seed=1, constant=False)
+    @example(n=12, batch=33, kernel=12, channels=3, scale=0.5, seed=2, constant=True)
+    def test_cnn_matches_oracle(self, n, batch, kernel, channels, scale, seed, constant):
+        rng = np.random.default_rng(seed)
+        params = nqs.init_params("cnn", (min(kernel, n), channels), scale, seed)
+        configs = np.stack([rng.permutation(np.arange(1, n + 1))
+                            for _ in range(batch)]).astype(float)
+        energies = _random_energies(rng, batch, constant)
+        o_matrix = nqs.cnn_log_derivatives(params, configs)
+        _assert_matches_oracle(nqs.cnn_energy_gradient(params, configs, energies),
+                               estimate_gradient(energies, o_matrix), energies, o_matrix, constant)
+
+    def test_shape_guards(self):
+        rbm = nqs.init_params("rbm", (4, 2), 0.1, 0)
+        cnn = nqs.init_params("cnn", (2, 2), 0.1, 0)
+        sigmas = np.ones((3, 4))
+        configs = np.array([[1.0, 2.0], [2.0, 1.0], [1.0, 2.0]])
+        with pytest.raises(ValueError):
+            nqs.rbm_energy_gradient(rbm, sigmas, np.ones(4))
+        with pytest.raises(ValueError):
+            nqs.rbm_energy_gradient(rbm, sigmas[:1], np.ones(1))
+        with pytest.raises(ValueError):
+            nqs.cnn_energy_gradient(cnn, configs, np.ones(2))
+        with pytest.raises(ValueError):
+            nqs.cnn_energy_gradient(cnn, configs[0], np.ones(2))
 
 
 class TestInitParams:

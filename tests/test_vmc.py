@@ -293,6 +293,20 @@ class TestTrain:
         assert record.termination_reason == "target-reached"
         assert record.best_energy == 6.0
 
+    @pytest.mark.parametrize("representation", ["qudit", "qubit"])
+    def test_never_builds_log_derivative_matrix(self, representation, monkeypatch):
+        from dataclasses import replace
+
+        def forbidden(*args):
+            raise AssertionError("train built the (S, 2P) log-derivative matrix")
+
+        monkeypatch.setattr(nqs, "rbm_log_derivatives", forbidden)
+        monkeypatch.setattr(nqs, "cnn_log_derivatives", forbidden)
+        cfg = replace(midpoint_vmc_config(5, representation, seed=4, max_steps=5),
+                      prune_no_improve_steps=1000)
+        record = train(linear_instance(5), cfg)
+        assert record.n_steps == 5
+
 
 class TestBuildAnsatz:
     def test_qudit_shapes(self):
