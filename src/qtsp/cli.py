@@ -99,7 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seed", type=int, default=None)
     p_sweep.add_argument("--steps", type=int, default=400, help="maximum MC steps per trial")
     p_sweep.add_argument("--time-limit", type=float, default=600.0)
-    p_sweep.add_argument("--jobs", type=int, default=1)
     p_sweep.add_argument("--out", type=str, default="-", help="summary JSON path, '-' for stdout")
 
     p_report = sub.add_parser("report", help="CSV convergence table from sweep summaries")
@@ -229,7 +228,7 @@ def _cmd_sweep(args) -> int:
     seed = args.seed if args.seed is not None else _env_seed()
     summary = harness.sweep(
         instance, args.rep, None, args.trials, seed,
-        max_steps=args.steps, wall_clock_s=args.time_limit, jobs=args.jobs,
+        max_steps=args.steps, wall_clock_s=args.time_limit,
     )
     if args.out == "-":
         from dataclasses import asdict

@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -206,7 +205,6 @@ def sweep(
     max_steps: int = 400,
     wall_clock_s: float = 600.0,
     fix_first: bool = True,
-    jobs: int = 1,
 ) -> SweepSummary:
     """Random hyperparameter search with the standard pruning rules."""
     if n_trials < 1:
@@ -236,11 +234,7 @@ def sweep(
             wall_s=record.total_time_s,
         )
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            trials = list(pool.map(run_trial, range(n_trials)))
-    else:
-        trials = [run_trial(t) for t in range(n_trials)]
+    trials = [run_trial(t) for t in range(n_trials)]
 
     converged_times = [t.time_to_target_s for t in trials if t.converged and t.time_to_target_s is not None]
     return SweepSummary(

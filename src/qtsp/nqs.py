@@ -9,15 +9,17 @@ Two ansatze, both returning log psi(config) as a complex scalar:
   neuron.
 
 Derivatives are taken with respect to the real and imaginary parts of every
-parameter as independent real degrees of freedom; the "flat" layout used by
-the optimizer stacks [Re(block), Im(block)] per parameter block in the
-field order of the dataclasses below.
+parameter as independent real degrees of freedom. The fields of the
+parameter dataclasses below, in order, define the "flat" layout the
+optimizer uses: each block raveled, its real part then its imaginary part.
+The same block order, one complex value per entry, is the checkpoint format.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from pathlib import Path
 
@@ -25,16 +27,75 @@ import numpy as np
 
 
 # ---------------------------------------------------------------------------
-# parameter containers
+# the flat layout and the parameter containers
 # ---------------------------------------------------------------------------
 
+def _join(cls, blocks: dict, lead: tuple[int, ...] = ()) -> np.ndarray:
+    """Concatenate the parts of every block of cls, fields in order, each
+    part raveled behind the leading axes `lead`, along the last axis. With
+    (Re, Im) parts per block this is the flat layout; with the derivatives
+    of log psi by those parts it is a row of log-derivatives."""
+    return np.concatenate(
+        [np.reshape(part, (*lead, -1)) for f in fields(cls) for part in blocks[f.name]], axis=-1
+    )
+
+
+def _split(cls, shape: tuple[int, ...], row: np.ndarray, n_parts: int) -> dict:
+    """Inverse of _join for one row: {field: [part, ...]}, n_parts parts per
+    block, each in the block's shape."""
+    shapes = cls.block_shapes(*shape)
+    sizes = [n_parts * math.prod(shapes[f.name]) for f in fields(cls)]
+    if row.shape != (sum(sizes),):
+        raise ValueError(f"expected {sum(sizes)} values for {cls.kind} shape {tuple(shape)}, "
+                         f"got shape {row.shape}")
+    chunks = np.split(row, np.cumsum(sizes)[:-1])
+    return {f.name: [part.reshape(shapes[f.name]) for part in np.split(chunk, n_parts)]
+            for f, chunk in zip(fields(cls), chunks)}
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """re + i im without arithmetic, so signed zeros and infinities survive."""
+    z = np.empty(np.shape(re), dtype=np.complex128)
+    z.real, z.imag = re, im
+    return z
+
+
+class _FlatLayout:
+    """The flat real vector of a parameter container, laid out by its
+    fields, and its shape: the values of shape_keys, which from_flat,
+    block_shapes and the checkpoint header take in that order."""
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return tuple(getattr(self, key) for key in self.shape_keys)
+
+    @property
+    def n_real_params(self) -> int:
+        return 2 * sum(np.size(value) for value in vars(self).values())
+
+    def to_flat(self) -> np.ndarray:
+        return _join(type(self), {name: (v.real, v.imag) for name, v in vars(self).items()})
+
+    @classmethod
+    def from_flat(cls, flat: np.ndarray, *shape: int):
+        parts = _split(cls, shape, np.asarray(flat, dtype=float), 2)
+        return cls(**{name: _complex(re, im) for name, (re, im) in parts.items()})
+
+
 @dataclass(frozen=True, eq=False)
-class RbmParams:
+class RbmParams(_FlatLayout):
     """Visible bias a, hidden bias b and connection matrix w (complex)."""
+
+    kind = "rbm"
+    shape_keys = ("n_visible", "n_hidden")
 
     a: np.ndarray  # (n_visible,)
     b: np.ndarray  # (n_hidden,)
     w: np.ndarray  # (n_hidden, n_visible)
+
+    @staticmethod
+    def block_shapes(n_visible: int, n_hidden: int) -> dict[str, tuple[int, ...]]:
+        return {"a": (n_visible,), "b": (n_hidden,), "w": (n_hidden, n_visible)}
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=np.complex128)
@@ -54,36 +115,24 @@ class RbmParams:
     def n_hidden(self) -> int:
         return self.b.shape[0]
 
-    @property
-    def n_real_params(self) -> int:
-        return 2 * (self.a.size + self.b.size + self.w.size)
-
-    def to_flat(self) -> np.ndarray:
-        return np.concatenate(
-            [self.a.real, self.a.imag, self.b.real, self.b.imag,
-             self.w.real.ravel(), self.w.imag.ravel()]
-        )
-
-    @classmethod
-    def from_flat(cls, flat: np.ndarray, n_visible: int, n_hidden: int) -> "RbmParams":
-        m, h = n_visible, n_hidden
-        expected = 2 * (m + h + h * m)
-        flat = np.asarray(flat, dtype=float)
-        if flat.shape != (expected,):
-            raise ValueError(f"flat vector must have length {expected}, got {flat.shape}")
-        a_re, a_im, b_re, b_im, w_re, w_im = np.split(flat, np.cumsum([m, m, h, h, h * m]))
-        return cls(a=a_re + 1j * a_im, b=b_re + 1j * b_im, w=(w_re + 1j * w_im).reshape(h, m))
-
 
 @dataclass(frozen=True, eq=False)
-class CnnParams:
+class CnnParams(_FlatLayout):
     """Periodic-convolution filters w (kernel x channels), channel biases b,
     and the dense output layer (dense_w, dense_b). All complex."""
+
+    kind = "cnn"
+    shape_keys = ("kernel_size", "n_channels")
 
     w: np.ndarray        # (kernel_size, n_channels)
     b: np.ndarray        # (n_channels,)
     dense_w: np.ndarray  # (n_channels,)
     dense_b: complex
+
+    @staticmethod
+    def block_shapes(kernel_size: int, n_channels: int) -> dict[str, tuple[int, ...]]:
+        return {"w": (kernel_size, n_channels), "b": (n_channels,),
+                "dense_w": (n_channels,), "dense_b": ()}
 
     def __post_init__(self):
         # read-only copies: the evaluation caches derived forms per object
@@ -107,32 +156,20 @@ class CnnParams:
     def n_channels(self) -> int:
         return self.w.shape[1]
 
-    @property
-    def n_real_params(self) -> int:
-        return 2 * (self.w.size + self.b.size + self.dense_w.size + 1)
-
-    def to_flat(self) -> np.ndarray:
-        return np.concatenate(
-            [self.w.real.ravel(), self.w.imag.ravel(),
-             self.b.real, self.b.imag,
-             self.dense_w.real, self.dense_w.imag,
-             [self.dense_b.real], [self.dense_b.imag]]
-        )
-
-    @classmethod
-    def from_flat(cls, flat: np.ndarray, kernel_size: int, n_channels: int) -> "CnnParams":
-        k, f = kernel_size, n_channels
-        expected = 2 * (k * f + f + f + 1)
-        flat = np.asarray(flat, dtype=float)
-        if flat.shape != (expected,):
-            raise ValueError(f"flat vector must have length {expected}, got {flat.shape}")
-        w_re, w_im, b_re, b_im, dw_re, dw_im, db = np.split(
-            flat, np.cumsum([k * f, k * f, f, f, f, f]))
-        return cls(w=(w_re + 1j * w_im).reshape(k, f), b=b_re + 1j * b_im,
-                   dense_w=dw_re + 1j * dw_im, dense_b=complex(db[0], db[1]))
-
 
 NetworkParams = RbmParams | CnnParams
+_KINDS = {cls.kind: cls for cls in (RbmParams, CnnParams)}
+
+
+@dataclass(frozen=True, eq=False)
+class LogPsiGrad:
+    """d log psi / d theta_k of one configuration over the flat real layout
+    (complex entries, since log psi is complex)."""
+
+    row: np.ndarray
+
+    def to_flat(self) -> np.ndarray:
+        return self.row
 
 
 # ---------------------------------------------------------------------------
@@ -166,32 +203,18 @@ def rbm_log_psi(params: RbmParams, sigma: np.ndarray) -> complex | np.ndarray:
     return complex(value[0]) if single else value
 
 
-@dataclass(frozen=True, eq=False)
-class RbmGrad:
-    """Complex derivative of log psi per parameter; the derivatives with
-    respect to (Re, Im) components are (g, i*g) since the amplitude is
-    holomorphic in the parameters."""
-
-    a: np.ndarray
-    b: np.ndarray
-    w: np.ndarray
-
-    def to_flat(self) -> np.ndarray:
-        return np.concatenate(
-            [self.a, 1j * self.a, self.b, 1j * self.b,
-             self.w.ravel(), 1j * self.w.ravel()]
-        )
-
-
-def rbm_grad_log_psi(params: RbmParams, sigma: np.ndarray) -> RbmGrad:
+def rbm_grad_log_psi(params: RbmParams, sigma: np.ndarray) -> LogPsiGrad:
     """d log psi / d theta: sigma_j for a_j, tanh(theta_l) for b_l and
-    sigma_j tanh(theta_l) for W_lj."""
+    sigma_j tanh(theta_l) for W_lj. The derivatives with respect to the
+    (Re, Im) components of each are (g, i*g), since the amplitude is
+    holomorphic in the parameters."""
     sigma = np.asarray(sigma, dtype=float)
     if sigma.shape != (params.n_visible,):
         raise ValueError(f"expected {params.n_visible} spins, got {sigma.shape}")
     theta = params.w @ sigma + params.b
     t = np.tanh(theta)
-    return RbmGrad(a=sigma.astype(np.complex128), b=t, w=np.outer(t, sigma))
+    g = {"a": sigma.astype(np.complex128), "b": t, "w": np.outer(t, sigma)}
+    return LogPsiGrad(_join(RbmParams, {name: (v, 1j * v) for name, v in g.items()}))
 
 
 def rbm_log_derivatives(params: RbmParams, sigmas: np.ndarray) -> np.ndarray:
@@ -199,12 +222,10 @@ def rbm_log_derivatives(params: RbmParams, sigmas: np.ndarray) -> np.ndarray:
     sigmas = np.asarray(sigmas, dtype=float)
     if sigmas.ndim != 2 or sigmas.shape[1] != params.n_visible:
         raise ValueError(f"expected (B, {params.n_visible}) spin batch, got {sigmas.shape}")
-    batch = sigmas.shape[0]
     theta = sigmas @ params.w.T + params.b
     t = np.tanh(theta)                                   # (B, H)
-    g_w = (t[:, :, None] * sigmas[:, None, :]).reshape(batch, -1)
-    g_a = sigmas.astype(np.complex128)
-    return np.concatenate([g_a, 1j * g_a, t, 1j * t, g_w, 1j * g_w], axis=1)
+    g = {"a": sigmas.astype(np.complex128), "b": t, "w": t[:, :, None] * sigmas[:, None, :]}
+    return _join(RbmParams, {name: (v, 1j * v) for name, v in g.items()}, lead=sigmas.shape[:1])
 
 
 def _centred_weights(energies: np.ndarray, batch: int) -> np.ndarray:
@@ -298,29 +319,6 @@ def cnn_log_psi(params: CnnParams, config: np.ndarray) -> complex | np.ndarray:
     return complex(value[0]) if single else value
 
 
-@dataclass(frozen=True, eq=False)
-class CnnGrad:
-    """d log psi with respect to the real (``*_re``) and imaginary
-    (``*_im``) part of each parameter; every entry is complex because
-    log psi itself is."""
-
-    w_re: np.ndarray
-    w_im: np.ndarray
-    b_re: np.ndarray
-    b_im: np.ndarray
-    dense_w_re: np.ndarray
-    dense_w_im: np.ndarray
-    dense_b_re: complex
-    dense_b_im: complex
-
-    def to_flat(self) -> np.ndarray:
-        return np.concatenate(
-            [self.w_re.ravel(), self.w_im.ravel(), self.b_re, self.b_im,
-             self.dense_w_re, self.dense_w_im,
-             [self.dense_b_re], [self.dense_b_im]]
-        )
-
-
 def cnn_log_derivatives(params: CnnParams, configs: np.ndarray) -> np.ndarray:
     """(B, 2P) matrix of d log psi / d theta_k over the flat real layout.
 
@@ -340,14 +338,13 @@ def cnn_log_derivatives(params: CnnParams, configs: np.ndarray) -> np.ndarray:
     g_im = np.where(pre.imag > 0, 1.0, 0.0) * (1j * params.dense_w)
 
     windows = configs[:, _window_index(n, params.kernel_size)]  # (B, N, K)
-    dw_re = np.einsum("bnk,bnf->bkf", windows, g_re).reshape(batch, -1)
-    dw_im = np.einsum("bnk,bnf->bkf", windows, g_im).reshape(batch, -1)
-    db_re = g_re.sum(axis=1)
-    db_im = g_im.sum(axis=1)
-    ones = np.ones((batch, 1), dtype=np.complex128)
-    return np.concatenate(
-        [dw_re, dw_im, db_re, db_im, pooled, 1j * pooled, ones, 1j * ones], axis=1
-    )
+    ones = np.ones(batch, dtype=np.complex128)
+    return _join(CnnParams, {
+        "w": [np.einsum("bnk,bnf->bkf", windows, g) for g in (g_re, g_im)],
+        "b": [g_re.sum(axis=1), g_im.sum(axis=1)],
+        "dense_w": [pooled, 1j * pooled],
+        "dense_b": [ones, 1j * ones],
+    }, lead=(batch,))
 
 
 def cnn_energy_gradient(params: CnnParams, configs: np.ndarray, energies: np.ndarray) -> np.ndarray:
@@ -376,22 +373,16 @@ def cnn_energy_gradient(params: CnnParams, configs: np.ndarray, energies: np.nda
     sign = np.repeat([2.0, -2.0], f)
     g = (weighted.T @ mask) * (sign * np.concatenate([params.dense_w.real, params.dense_w.imag]))
     g_dense = sign * (c @ pooled)
-    return np.concatenate(
-        [g[:k, :f].ravel(), g[:k, f:].ravel(), g[k, :f], g[k, f:], g_dense, [2.0 * c.sum(), 0.0]]
-    )
+    return _join(CnnParams, {"w": [g[:k, :f], g[:k, f:]], "b": [g[k, :f], g[k, f:]],
+                             "dense_w": [g_dense[:f], g_dense[f:]], "dense_b": [2.0 * c.sum(), 0.0]})
 
 
-def cnn_grad_log_psi(params: CnnParams, config: np.ndarray) -> CnnGrad:
+def cnn_grad_log_psi(params: CnnParams, config: np.ndarray) -> LogPsiGrad:
     """Exact single-configuration gradient of log psi."""
     config = np.asarray(config, dtype=float)
     if config.ndim != 1:
         raise ValueError("cnn_grad_log_psi takes a single configuration")
-    k, f = params.kernel_size, params.n_channels
-    row = cnn_log_derivatives(params, config[None, :])[0]
-    w_re, w_im, b_re, b_im, dw_re, dw_im, db = np.split(row, np.cumsum([k * f, k * f, f, f, f, f]))
-    return CnnGrad(w_re=w_re.reshape(k, f), w_im=w_im.reshape(k, f), b_re=b_re, b_im=b_im,
-                   dense_w_re=dw_re, dense_w_im=dw_im,
-                   dense_b_re=complex(db[0]), dense_b_im=complex(db[1]))
+    return LogPsiGrad(cnn_log_derivatives(params, config[None, :])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -406,43 +397,41 @@ def init_params(kind: str, shape: tuple[int, int], scale: float, seed: int) -> N
     """
     if scale < 0:
         raise ValueError("scale must be non-negative")
+    if kind not in _KINDS:
+        raise ValueError(f"unknown network kind {kind!r}")
+    cls = _KINDS[kind]
+    shapes = cls.block_shapes(*shape)
     rng = np.random.default_rng(seed)
-
-    def draw(*dims):
-        return scale * (rng.standard_normal(dims) + 1j * rng.standard_normal(dims))
-
-    if kind == "rbm":
-        m, h = shape
-        return RbmParams(a=draw(m), b=draw(h), w=draw(h, m))
-    if kind == "cnn":
-        k, f = shape
-        return CnnParams(w=draw(k, f), b=draw(f), dense_w=draw(f), dense_b=complex(draw()))
-    raise ValueError(f"unknown network kind {kind!r}")
+    return cls(**{f.name: scale * (rng.standard_normal(shapes[f.name])
+                                   + 1j * rng.standard_normal(shapes[f.name]))
+                  for f in fields(cls)})
 
 
 def save_params(params: NetworkParams, path: str | Path) -> None:
-    """Checkpoint as JSON (real, imag) pairs; round-trips bit-exactly."""
-    if isinstance(params, RbmParams):
-        header = {"kind": "rbm", "n_visible": params.n_visible, "n_hidden": params.n_hidden}
-        values = np.concatenate([params.a, params.b, params.w.ravel()])
-    else:
-        header = {"kind": "cnn", "kernel_size": params.kernel_size,
-                  "n_channels": params.n_channels}
-        values = np.concatenate(
-            [params.w.ravel(), params.b, params.dense_w, [params.dense_b]]
-        )
-    payload = dict(header, data=[[v.real, v.imag] for v in values])
+    """Checkpoint as JSON: the kind, the shape keys and one (real, imag)
+    pair per complex entry, blocks in field order; round-trips bit-exactly."""
+    values = _join(type(params), {name: (v,) for name, v in vars(params).items()})
+    payload = {"kind": params.kind, **dict(zip(params.shape_keys, params.shape)),
+               "data": [[v.real, v.imag] for v in values]}
     Path(path).write_text(json.dumps(payload) + "\n")
 
 
 def load_params(path: str | Path) -> NetworkParams:
+    """Inverse of save_params. Raises ValueError naming the file when the
+    kind, a shape key or the number of entries does not match."""
     payload = json.loads(Path(path).read_text())
-    data = np.array([complex(re, im) for re, im in payload["data"]])
-    if payload["kind"] == "rbm":
-        m, h = payload["n_visible"], payload["n_hidden"]
-        return RbmParams(a=data[:m], b=data[m: m + h], w=data[m + h:].reshape(h, m))
-    if payload["kind"] == "cnn":
-        k, f = payload["kernel_size"], payload["n_channels"]
-        return CnnParams(w=data[: k * f].reshape(k, f), b=data[k * f: k * f + f],
-                         dense_w=data[k * f + f: k * f + 2 * f], dense_b=complex(data[-1]))
-    raise ValueError(f"unknown checkpoint kind {payload['kind']!r}")
+    cls = _KINDS.get(payload.get("kind")) if isinstance(payload, dict) else None
+    if cls is None:
+        raise ValueError(f"{path}: checkpoint kind must be one of {sorted(_KINDS)}")
+    shape = tuple(payload.get(key) for key in cls.shape_keys)
+    if not all(isinstance(n, int) and n >= 1 for n in shape):
+        raise ValueError(f"{path}: {cls.kind} checkpoint needs positive integers "
+                         f"{cls.shape_keys}, got {shape}")
+    try:
+        data = np.array(payload.get("data"), dtype=float)
+        if data.ndim != 2 or data.shape[1] != 2:
+            raise ValueError("data must be a list of (real, imag) pairs")
+        parts = _split(cls, shape, _complex(data[:, 0], data[:, 1]), 1)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return cls(**{name: value for name, (value,) in parts.items()})

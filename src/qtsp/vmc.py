@@ -25,6 +25,10 @@ from .sampler import Sample, SamplerConfig, init_chains, run_chains
 
 IMPROVEMENT_TOL = 1e-12
 TARGET_TOL = 1e-9
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+INIT_SCALE = 0.02
 
 # spawn key reserved for the parameter-init stream; chain streams use the
 # plain spawn children (0,), (1,), ... of the sampler seed
@@ -39,22 +43,17 @@ class VmcConfig:
     n_channels: int = 0          # convolutional network
     kernel_size: int = 0
     learning_rate: float = 1e-2
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     max_steps: int = 500
     prune_no_improve_steps: int = 300
     prune_wall_clock_s: float = 600.0
-    init_scale: float = 0.02
-    init_seed: int | None = None  # None -> derived from sampler.seed
 
     def __post_init__(self):
         if self.representation not in ("qubit", "qudit"):
             raise ValueError(f"unknown representation {self.representation!r}")
+        if self.sampler.sample_size < 2:
+            raise ValueError("sample_size must be at least 2: the gradient is a covariance")
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be non-negative")
-        if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
-            raise ValueError("Adam betas must lie in [0, 1)")
         if self.max_steps < 1:
             raise ValueError("max_steps must be positive")
 
@@ -106,53 +105,35 @@ class RunRecord:
 
 
 # ---------------------------------------------------------------------------
-# ansatz adapters: tours in, flat real parameters out
+# the ansatz adapter: tours in, flat real parameters out
 # ---------------------------------------------------------------------------
 
-class QuditCnnAnsatz:
-    """Convolutional amplitude evaluated directly on the level sequence."""
+class Ansatz:
+    """A network on encoded tours: the levels as floats for the convolutional
+    network, the one-hot spins for the spin network."""
 
-    kind = "cnn"
-
-    def __init__(self, params: nqs.CnnParams):
+    def __init__(self, params: nqs.NetworkParams, log_psi: Callable,
+                 energy_gradient: Callable, encode: Callable[[np.ndarray], np.ndarray]):
         self.params = params
+        self._log_psi = log_psi
+        self._energy_gradient = energy_gradient
+        self._encode = encode
 
     def log_psi_tours(self, tours: np.ndarray) -> np.ndarray:
-        return np.asarray(nqs.cnn_log_psi(self.params, np.asarray(tours, dtype=float)))
+        return np.asarray(self._log_psi(self.params, self._encode(tours)))
 
     def energy_gradient(self, tours: np.ndarray, energies: np.ndarray) -> np.ndarray:
-        return nqs.cnn_energy_gradient(self.params, np.asarray(tours, dtype=float), energies)
+        return self._energy_gradient(self.params, self._encode(tours), energies)
 
     def get_flat(self) -> np.ndarray:
         return self.params.to_flat()
 
     def set_flat(self, flat: np.ndarray) -> None:
-        self.params = nqs.CnnParams.from_flat(
-            flat, self.params.kernel_size, self.params.n_channels
-        )
+        self.params = type(self.params).from_flat(flat, *self.params.shape)
 
 
-class QubitRbmAnsatz:
-    """Spin-network amplitude on the one-hot image of the tour."""
-
-    kind = "rbm"
-
-    def __init__(self, params: nqs.RbmParams):
-        self.params = params
-
-    def log_psi_tours(self, tours: np.ndarray) -> np.ndarray:
-        return np.asarray(nqs.rbm_log_psi(self.params, tours_to_sigma(tours)))
-
-    def energy_gradient(self, tours: np.ndarray, energies: np.ndarray) -> np.ndarray:
-        return nqs.rbm_energy_gradient(self.params, tours_to_sigma(tours), energies)
-
-    def get_flat(self) -> np.ndarray:
-        return self.params.to_flat()
-
-    def set_flat(self, flat: np.ndarray) -> None:
-        self.params = nqs.RbmParams.from_flat(
-            flat, self.params.n_visible, self.params.n_hidden
-        )
+def _levels(tours: np.ndarray) -> np.ndarray:
+    return np.asarray(tours, dtype=float)
 
 
 def derive_init_seed(sampler_seed: int) -> int:
@@ -160,38 +141,32 @@ def derive_init_seed(sampler_seed: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def build_ansatz(cfg: VmcConfig, n_cities: int):
-    seed = cfg.init_seed if cfg.init_seed is not None else derive_init_seed(cfg.sampler.seed)
+def build_ansatz(cfg: VmcConfig, n_cities: int) -> Ansatz:
+    seed = derive_init_seed(cfg.sampler.seed)
     if cfg.representation == "qudit":
         if cfg.n_channels < 1 or cfg.kernel_size < 1:
             raise ValueError("qudit representation needs n_channels and kernel_size >= 1")
         if cfg.kernel_size > n_cities:
             raise ValueError("kernel_size cannot exceed the number of cities")
-        params = nqs.init_params(
-            "cnn", (cfg.kernel_size, cfg.n_channels), cfg.init_scale, seed
-        )
-        return QuditCnnAnsatz(params)
+        params = nqs.init_params("cnn", (cfg.kernel_size, cfg.n_channels), INIT_SCALE, seed)
+        return Ansatz(params, nqs.cnn_log_psi, nqs.cnn_energy_gradient, _levels)
     if cfg.n_hidden < 1:
         raise ValueError("qubit representation needs n_hidden >= 1")
-    params = nqs.init_params(
-        "rbm", (n_cities * n_cities, cfg.n_hidden), cfg.init_scale, seed
-    )
-    return QubitRbmAnsatz(params)
+    params = nqs.init_params("rbm", (n_cities * n_cities, cfg.n_hidden), INIT_SCALE, seed)
+    return Ansatz(params, nqs.rbm_log_psi, nqs.rbm_energy_gradient, tours_to_sigma)
 
 
 # ---------------------------------------------------------------------------
 # estimators
 # ---------------------------------------------------------------------------
 
-def local_energy(instance: Instance, representation: str, config: np.ndarray) -> float:
+def local_energy(instance: Instance, config: np.ndarray) -> float:
     """Diagonal local energy of a valid tour: its cyclic length.
 
     Identical in both representations because the constraint terms vanish
     on the valid manifold; a non-permutation argument means the sampler
     leaked an invalid state and is reported as an error.
     """
-    if representation not in ("qubit", "qudit"):
-        raise ValueError(f"unknown representation {representation!r}")
     config = np.asarray(config, dtype=np.int64)
     if not is_permutation(config, instance.n_cities):
         raise InvalidTourError(
@@ -209,11 +184,9 @@ def local_energies(instance: Instance, configs: np.ndarray) -> np.ndarray:
     return tour_lengths(instance, configs)
 
 
-def estimate_energy(sample: Sample, instance: Instance, representation: str) -> tuple[float, float]:
+def estimate_energy(sample: Sample, instance: Instance) -> tuple[float, float]:
     """Mean and sample standard deviation (n-1 divisor) of the local
     energies over the recorded configurations."""
-    if representation not in ("qubit", "qudit"):
-        raise ValueError(f"unknown representation {representation!r}")
     if sample.configs.shape[0] < 2:
         raise ValueError("energy estimation needs at least two recorded configurations")
     energies = local_energies(instance, sample.configs)
@@ -259,11 +232,11 @@ def adam_update(
     if not np.all(np.isfinite(grad)):
         raise ValueError(f"non-finite gradient at Adam step {state.step_count + 1}")
     t = state.step_count + 1
-    m = cfg.adam_beta1 * state.first_moment + (1 - cfg.adam_beta1) * grad
-    v = cfg.adam_beta2 * state.second_moment + (1 - cfg.adam_beta2) * grad * grad
-    m_hat = m / (1 - cfg.adam_beta1 ** t)
-    v_hat = v / (1 - cfg.adam_beta2 ** t)
-    new_params = params - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+    m = ADAM_BETA1 * state.first_moment + (1 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * state.second_moment + (1 - ADAM_BETA2) * grad * grad
+    m_hat = m / (1 - ADAM_BETA1 ** t)
+    v_hat = v / (1 - ADAM_BETA2 ** t)
+    new_params = params - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return AdamState(first_moment=m, second_moment=v, step_count=t), new_params
 
 
@@ -272,10 +245,6 @@ def adam_update(
 # ---------------------------------------------------------------------------
 
 SinkFn = Callable[[dict], None]
-
-
-def _config_echo(cfg: VmcConfig) -> dict:
-    return asdict(cfg)
 
 
 def train(
@@ -304,7 +273,7 @@ def train(
             "n_cities": instance.n_cities,
             "representation": cfg.representation,
             "target_energy": target_energy,
-            "config": _config_echo(cfg),
+            "config": asdict(cfg),
         })
 
     steps: list[StepStats] = []
@@ -319,7 +288,7 @@ def train(
         sample = run_chains(chains, ansatz.log_psi_tours, cfg.sampler)
         energies = local_energies(instance, sample.configs)
         e_mean = float(energies.mean())
-        e_std = float(energies.std(ddof=1)) if energies.size > 1 else 0.0
+        e_std = float(energies.std(ddof=1))  # VmcConfig guarantees two samples
 
         i_min = int(np.argmin(energies))
         if energies[i_min] < best - IMPROVEMENT_TOL:
@@ -340,16 +309,7 @@ def train(
         )
         steps.append(stats)
         if sink is not None:
-            sink({
-                "type": "step",
-                "step": step,
-                "wall_clock_s": wall,
-                "energy_mean": e_mean,
-                "energy_std": e_std,
-                "acceptance_rate": sample.acceptance_rate,
-                "best_energy": best,
-                "best_tour": best_tour.tolist(),
-            })
+            sink({"type": "step", **vars(stats), "best_tour": best_tour.tolist()})
 
         if target_energy is not None and best <= target_energy + TARGET_TOL:
             time_to_target = wall
@@ -373,7 +333,7 @@ def train(
     record = RunRecord(
         representation=cfg.representation,
         n_cities=instance.n_cities,
-        config=_config_echo(cfg),
+        config=asdict(cfg),
         target_energy=target_energy,
         steps=steps,
         termination_reason=reason,

@@ -133,13 +133,6 @@ class TestSweep:
         assert summary.percent_converged == manual
         assert summary.n_cities == 5 and summary.representation == "qudit"
 
-    def test_jobs_do_not_change_results(self):
-        kwargs = dict(n_trials=4, seed=2, max_steps=60)
-        serial = sweep(linear_instance(4), "qudit", None, **kwargs)
-        threaded = sweep(linear_instance(4), "qudit", None, jobs=2, **kwargs)
-        assert [t.hyperparams for t in serial.trials] == [t.hyperparams for t in threaded.trials]
-        assert [t.best_energy for t in serial.trials] == [t.best_energy for t in threaded.trials]
-
     def test_summary_round_trip(self, tmp_path):
         summary = sweep(linear_instance(4), "qudit", None, n_trials=2, seed=0, max_steps=40)
         path = tmp_path / "summary.json"
@@ -231,6 +224,13 @@ class TestCli:
         assert cfg["sampler"]["sample_size"] == 64
         assert cfg["learning_rate"] == 0.005
         assert cfg["n_channels"] == 2
+
+    def test_single_sample_is_rejected_before_any_output(self, tmp_path):
+        # the covariance gradient needs two samples; the run must not start
+        out = tmp_path / "r.jsonl"
+        assert cli(["solve", "--rep", "qudit", "--cities", "5", "--chains", "1",
+                    "--sample-size", "1", "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_solve_qubit_rbm(self, capsys):
         assert cli(["solve", "--rep", "qubit", "--net", "rbm", "--cities", "4",

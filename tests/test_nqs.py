@@ -1,7 +1,9 @@
+import json
+
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import finite_difference, kink_free_cnn_params
@@ -93,21 +95,34 @@ class TestRbmLogPsi:
         assert nqs.rbm_log_psi(params, sigma) == nqs.rbm_log_psi(params, sigma)
 
 
+def rbm_blocks(row, m, h):
+    """(a, b, w) parts of a flat RBM row, each [Re, Im], laid out by hand."""
+    a_re, a_im, b_re, b_im, w_re, w_im = np.split(row, np.cumsum([m, m, h, h, h * m]))
+    return (a_re, a_im), (b_re, b_im), (w_re.reshape(h, m), w_im.reshape(h, m))
+
+
+def cnn_blocks(row, k, f):
+    """(w, b, dense_w, dense_b) parts of a flat CNN row, each [Re, Im]."""
+    w_re, w_im, b_re, b_im, dw_re, dw_im, db = np.split(row, np.cumsum([k * f, k * f, f, f, f, f]))
+    return (w_re.reshape(k, f), w_im.reshape(k, f)), (b_re, b_im), (dw_re, dw_im), tuple(db)
+
+
 class TestRbmGrad:
     def test_zero_params(self):
         params = nqs.init_params("rbm", (4, 3), 0.0, 0)
         sigma = np.array([1.0, -1.0, -1.0, 1.0])
-        grad = nqs.rbm_grad_log_psi(params, sigma)
-        assert np.array_equal(grad.a, sigma)
-        assert np.array_equal(grad.b, np.zeros(3))
-        assert np.array_equal(grad.w, np.zeros((3, 4)))
+        a, b, w = rbm_blocks(nqs.rbm_grad_log_psi(params, sigma).to_flat(), 4, 3)
+        assert np.array_equal(a[0], sigma) and np.array_equal(a[1], 1j * sigma)
+        assert np.array_equal(b[0], np.zeros(3)) and np.array_equal(b[1], np.zeros(3))
+        assert np.array_equal(w[0], np.zeros((3, 4))) and np.array_equal(w[1], np.zeros((3, 4)))
 
     def test_visible_gradient_is_always_sigma(self):
         rng = np.random.default_rng(2)
         for seed in range(5):
             params = nqs.init_params("rbm", (5, 3), 0.5, seed)
             sigma = random_spins(5, rng)
-            assert np.array_equal(nqs.rbm_grad_log_psi(params, sigma).a, sigma)
+            a, _, _ = rbm_blocks(nqs.rbm_grad_log_psi(params, sigma).to_flat(), 5, 3)
+            assert np.array_equal(a[0], sigma) and np.array_equal(a[1], 1j * sigma)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(14)
@@ -200,22 +215,22 @@ class TestCnnGrad:
     def test_zero_params(self):
         params = nqs.CnnParams(w=np.zeros((2, 2)), b=np.zeros(2), dense_w=np.zeros(2),
                                dense_b=0.0)
-        grad = nqs.cnn_grad_log_psi(params, np.array([1, 2, 3, 4]))
-        assert grad.dense_b_re == 1.0
-        assert grad.dense_b_im == 1j
-        assert np.array_equal(grad.w_re, np.zeros((2, 2)))
-        assert np.array_equal(grad.b_im, np.zeros(2))
+        row = nqs.cnn_grad_log_psi(params, np.array([1, 2, 3, 4])).to_flat()
+        w, b, dense_w, dense_b = cnn_blocks(row, 2, 2)
+        assert dense_b == (1.0, 1j)
+        assert np.array_equal(w[0], np.zeros((2, 2)))
+        assert np.array_equal(b[1], np.zeros(2))
         # zero pre-activations sit on the kink: subgradient 0, pooled sum 0
-        assert np.array_equal(grad.dense_w_re, np.zeros(2))
+        assert np.array_equal(dense_w[0], np.zeros(2))
 
     def test_dense_weight_gradient_is_pooled_activation(self):
         params = nqs.init_params("cnn", (2, 3), 0.3, 4)
         config = np.array([2, 4, 1, 3], dtype=float)
         act = nqs._split_relu(nqs._cnn_preactivations(params, config[None, :]))
         pooled = act.sum(axis=1)[0]
-        grad = nqs.cnn_grad_log_psi(params, config)
-        np.testing.assert_allclose(grad.dense_w_re, pooled, atol=1e-14)
-        np.testing.assert_allclose(grad.dense_w_im, 1j * pooled, atol=1e-14)
+        _, _, dense_w, _ = cnn_blocks(nqs.cnn_grad_log_psi(params, config).to_flat(), 2, 3)
+        np.testing.assert_allclose(dense_w[0], pooled, atol=1e-14)
+        np.testing.assert_allclose(dense_w[1], 1j * pooled, atol=1e-14)
 
     def test_matches_finite_differences_away_from_kinks(self):
         rng = np.random.default_rng(3)
@@ -339,21 +354,62 @@ class TestInitParams:
             nqs.init_params("mlp", (2, 2), 0.1, 0)
 
 
-class TestFlatLayout:
-    def test_rbm_round_trip(self):
-        params = nqs.init_params("rbm", (5, 3), 0.2, 6)
-        restored = nqs.RbmParams.from_flat(params.to_flat(), 5, 3)
-        assert np.array_equal(restored.a, params.a)
-        assert np.array_equal(restored.b, params.b)
-        assert np.array_equal(restored.w, params.w)
+def assert_same_params(restored, params):
+    """Same kind, same blocks, and the same flat vector bit for bit."""
+    assert type(restored) is type(params)
+    for name, value in vars(params).items():
+        assert np.array_equal(getattr(restored, name), value)
+    assert restored.to_flat().tobytes() == params.to_flat().tobytes()
 
-    def test_cnn_round_trip(self):
-        params = nqs.init_params("cnn", (3, 2), 0.2, 6)
-        restored = nqs.CnnParams.from_flat(params.to_flat(), 3, 2)
-        assert np.array_equal(restored.w, params.w)
-        assert np.array_equal(restored.b, params.b)
-        assert np.array_equal(restored.dense_w, params.dense_w)
-        assert restored.dense_b == params.dense_b
+
+# parameter draws over random shapes; scale 0 gives signed zeros
+random_shapes = dict(rows=st.integers(1, 7), cols=st.integers(1, 7),
+                     scale=st.sampled_from([0.0, 0.02, 1.0]), seed=st.integers(0, 2**32 - 1))
+
+# written by save_params(init_params(kind, shape, 0.5, seed)) before the flat
+# layout moved into the dataclass fields; the format must not change
+RBM_4_2 = (
+    '{"kind": "rbm", "n_visible": 4, "n_hidden": 2, "data": ['
+    '[1.0204595606925912, -0.22632464605522293], [-1.2778325156570909, -0.10779858154488295], '
+    '[0.20904942336288942, -1.0099930645736255], [-0.2838848030639649, -0.11596618882209474], '
+    '[-0.43260653813747085, 0.11289330661396088], [1.6614997583224413, -0.1763153971707977], '
+    '[-0.1406437090756752, 0.012129782538332311], [-0.33402317305447504, 0.772910425606406], '
+    '[-0.5275752756025607, 0.2725527613438223], [-0.19540048861732737, -0.252614367807009], '
+    '[0.24097269425339293, -0.09141948729886745], [-0.11927680328668334, 0.27026256587740105], '
+    '[0.47887935147988203, 0.9675440170494264], [-0.09990106453329, -0.13481016367095675]]}\n'
+)
+CNN_2_3 = (
+    '{"kind": "cnn", "kernel_size": 2, "n_channels": 3, "data": ['
+    '[-0.3258955763058448, -0.3117318704941967], [-0.08735864616288858, 0.07431576162601317], '
+    '[0.8318619956955984, -0.8040938920931945], [0.3295738749161275, 0.12088593843842566], '
+    '[-0.8206986472923233, 0.11769045936872738], [-0.0026016320859659887, 0.7878130157157314], '
+    '[0.15832250823595104, 1.1263645623620138], [0.25527333084882087, -0.9578227789791502], '
+    '[-0.7465583424821163, 0.5509009279112421], [-0.16495203693692484, -0.33600734032932794], '
+    '[-0.44032325896389846, 0.19009454612449586], [-0.32814250546451557, -0.05502934763902579], '
+    '[0.7412855815169285, -0.9148020117226754]]}\n'
+)
+
+
+class TestFlatLayout:
+    @settings(max_examples=40, deadline=None)
+    @given(**random_shapes)
+    @example(rows=5, cols=3, scale=0.2, seed=6)
+    def test_rbm_round_trip(self, rows, cols, scale, seed):
+        params = nqs.init_params("rbm", (rows, cols), scale, seed)
+        assert_same_params(nqs.RbmParams.from_flat(params.to_flat(), rows, cols), params)
+
+    @settings(max_examples=40, deadline=None)
+    @given(**random_shapes)
+    @example(rows=3, cols=2, scale=0.2, seed=6)
+    def test_cnn_round_trip(self, rows, cols, scale, seed):
+        params = nqs.init_params("cnn", (rows, cols), scale, seed)
+        assert_same_params(nqs.CnnParams.from_flat(params.to_flat(), rows, cols), params)
+
+    def test_block_order(self):
+        rbm = nqs.RbmParams(a=[1, 2j], b=[3], w=[[4, 5]])
+        np.testing.assert_array_equal(rbm.to_flat(), [1, 0, 0, 2, 3, 0, 4, 5, 0, 0])
+        cnn = nqs.CnnParams(w=[[1j], [2]], b=[3], dense_w=[4], dense_b=5 + 6j)
+        np.testing.assert_array_equal(cnn.to_flat(), [0, 2, 1, 0, 3, 0, 4, 0, 5, 6])
 
     def test_length_guard(self):
         with pytest.raises(ValueError):
@@ -361,23 +417,56 @@ class TestFlatLayout:
 
 
 class TestCheckpoints:
-    def test_rbm_round_trip_bit_exact(self, tmp_path):
-        params = nqs.init_params("rbm", (6, 4), 0.37, 99)
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(**random_shapes)
+    @example(rows=6, cols=4, scale=0.37, seed=99)
+    def test_rbm_round_trip_bit_exact(self, tmp_path, rows, cols, scale, seed):
+        params = nqs.init_params("rbm", (rows, cols), scale, seed)
         path = tmp_path / "rbm.json"
         nqs.save_params(params, path)
-        loaded = nqs.load_params(path)
-        assert isinstance(loaded, nqs.RbmParams)
-        assert np.array_equal(loaded.a, params.a)
-        assert np.array_equal(loaded.b, params.b)
-        assert np.array_equal(loaded.w, params.w)
+        assert_same_params(nqs.load_params(path), params)
 
-    def test_cnn_round_trip_bit_exact(self, tmp_path):
-        params = nqs.init_params("cnn", (4, 3), 0.37, 98)
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(**random_shapes)
+    @example(rows=4, cols=3, scale=0.37, seed=98)
+    def test_cnn_round_trip_bit_exact(self, tmp_path, rows, cols, scale, seed):
+        params = nqs.init_params("cnn", (rows, cols), scale, seed)
         path = tmp_path / "cnn.json"
         nqs.save_params(params, path)
+        assert_same_params(nqs.load_params(path), params)
+
+    @pytest.mark.parametrize("kind, shape, seed, text",
+                             [("rbm", (4, 2), 3, RBM_4_2), ("cnn", (2, 3), 4, CNN_2_3)])
+    def test_format_is_pinned(self, tmp_path, kind, shape, seed, text):
+        path = tmp_path / "pinned.json"
+        path.write_text(text)
         loaded = nqs.load_params(path)
-        assert isinstance(loaded, nqs.CnnParams)
-        assert np.array_equal(loaded.w, params.w)
-        assert np.array_equal(loaded.b, params.b)
-        assert np.array_equal(loaded.dense_w, params.dense_w)
-        assert loaded.dense_b == params.dense_b
+        assert_same_params(loaded, nqs.init_params(kind, shape, 0.5, seed))
+        nqs.save_params(loaded, path)
+        assert path.read_text() == text
+
+    def test_extra_entries_are_rejected(self, tmp_path):
+        payload = json.loads(CNN_2_3)
+        payload["data"][-1:-1] = [[1.0, 2.0], [3.0, 4.0]]  # two more entries before dense_b
+        path = tmp_path / "extra.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="extra.json"):
+            nqs.load_params(path)
+
+    def test_missing_shape_key_is_rejected(self, tmp_path):
+        payload = json.loads(RBM_4_2)
+        del payload["n_hidden"]
+        path = tmp_path / "missing.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="missing.json"):
+            nqs.load_params(path)
+
+    def test_short_data_is_rejected(self, tmp_path):
+        payload = json.loads(RBM_4_2)
+        payload["data"].pop()
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="short.json"):
+            nqs.load_params(path)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_symmetric_instance, random_tour
+from helpers import random_symmetric_instance
 from qtsp import nqs
 from qtsp.encoding import tours_to_sigma
 from qtsp.errors import InvalidTourError
@@ -38,21 +38,14 @@ def all_tours(n):
 
 class TestLocalEnergy:
     def test_qudit_example(self):
-        assert local_energy(linear_instance(4), "qudit", [1, 3, 2, 4]) == 8.0
+        assert local_energy(linear_instance(4), [1, 3, 2, 4]) == 8.0
 
     def test_qubit_example(self):
-        assert local_energy(linear_instance(4), "qubit", [1, 2, 3, 4]) == 6.0
-
-    def test_representations_agree(self):
-        rng = np.random.default_rng(5)
-        inst = random_symmetric_instance(6, 0)
-        for _ in range(20):
-            tour = random_tour(6, rng)
-            assert local_energy(inst, "qubit", tour) == local_energy(inst, "qudit", tour)
+        assert local_energy(linear_instance(4), [1, 2, 3, 4]) == 6.0
 
     def test_invalid_config_is_an_error(self):
         with pytest.raises(InvalidTourError):
-            local_energy(linear_instance(4), "qudit", [1, 1, 2, 3])
+            local_energy(linear_instance(4), [1, 1, 2, 3])
 
     def test_batched_guard(self):
         with pytest.raises(InvalidTourError):
@@ -63,19 +56,19 @@ class TestEstimateEnergy:
     def test_constant_sample(self):
         inst = linear_instance(4)
         sample = sample_of([[1, 2, 3, 4]] * 5)
-        mean, std = estimate_energy(sample, inst, "qudit")
+        mean, std = estimate_energy(sample, inst)
         assert (mean, std) == (6.0, 0.0)
 
     def test_two_point_sample(self):
         inst = linear_instance(4)
         sample = sample_of([[1, 2, 3, 4], [1, 3, 2, 4]])  # energies 6 and 8
-        mean, std = estimate_energy(sample, inst, "qudit")
+        mean, std = estimate_energy(sample, inst)
         assert mean == 7.0
         assert std == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
     def test_needs_two_configs(self):
         with pytest.raises(ValueError):
-            estimate_energy(sample_of([[1, 2, 3, 4]]), linear_instance(4), "qudit")
+            estimate_energy(sample_of([[1, 2, 3, 4]]), linear_instance(4))
 
     def test_uniform_sampler_mean_matches_enumeration(self):
         """Constant psi samples tours uniformly; the estimate must sit within
@@ -88,7 +81,7 @@ class TestEstimateEnergy:
         cfg = SamplerConfig(n_chains=8, n_swaps=7, max_swap_len=4, fix_first=False,
                             sample_size=10_000, seed=31)
         sample = run_chains(init_chains(inst, cfg), lambda t: np.zeros(len(t)), cfg)
-        mean, std = estimate_energy(sample, inst, "qudit")
+        mean, std = estimate_energy(sample, inst)
         assert abs(mean - exact) < 3 * std / math.sqrt(sample.configs.shape[0])
 
 
