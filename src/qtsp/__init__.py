@@ -44,7 +44,7 @@ from .nqs import (
     rbm_log_psi,
     save_params,
 )
-from .sampler import ChainState, Sample, SamplerConfig, init_chains, mh_step, propose_swap, run_chains
+from .sampler import ChainState, Sample, SamplerConfig, init_chains, mh_step, run_chains
 from .vmc import (
     AdamState,
     RunRecord,

@@ -12,7 +12,6 @@ to a (B,) complex array of log psi values.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -43,6 +42,8 @@ class SamplerConfig:
             raise ValueError("max_swap_len must be at least 1")
         if self.sample_size < self.n_chains:
             raise ValueError("sample_size must be at least n_chains")
+        if self.n_warmup is not None and self.n_warmup < 0:
+            raise ValueError("n_warmup must be non-negative")
 
 
 @dataclass
@@ -70,20 +71,48 @@ class Sample:
 
 @lru_cache(maxsize=128)
 def _proposal_tables(n: int, max_swap_len: int, fix_first: bool):
-    """Positions eligible as the first pick, and per-position arrays of
-    eligible partners within the cyclic swap range."""
-    first = np.array([p for p in range(n) if not (fix_first and p == 0)], dtype=np.int64)
-    partners = {}
-    for p in first:
-        seen = set()
-        for delta in range(1, min(max_swap_len, n - 1) + 1):
-            seen.add((p + delta) % n)
-            seen.add((p - delta) % n)
-        seen.discard(int(p))
-        if fix_first:
-            seen.discard(0)
-        partners[int(p)] = np.array(sorted(seen), dtype=np.int64)
-    return first, partners
+    """Positions eligible as the first pick; every position's eligible
+    partners within the cyclic swap range as one (n, width) array, each row
+    padded with the position itself; and the (n,) partner counts."""
+    reach = min(max_swap_len, n - 1)
+    banned = {0} if fix_first else set()
+    rows = [sorted({(p + d) % n for d in range(-reach, reach + 1)} - {p} - banned)
+            for p in range(n)]
+    width = max(1, max(map(len, rows)))
+    partners = np.array([r + [p] * (width - len(r)) for p, r in enumerate(rows)])
+    return np.arange(int(fix_first), n), partners, np.array([len(r) for r in rows])
+
+
+def _proposal_order(u: np.ndarray, n: int, cfg: SamplerConfig) -> np.ndarray:
+    """Gather indices (..., n) of the proposals drawn by uniforms of shape
+    (..., 2 * n_swaps + 1), one row per chain-step from the chain's own
+    stream: the proposal of a tour is tour[order].
+
+    Swap k takes its first position from column 2k and its partner from
+    column 2k + 1, floor(u * m) picking one of m choices; the last column
+    is the accept decision's. A position without partners (only N=2 with
+    fix_first) swaps with itself. Each swap is a transposition, so an even
+    n_swaps proposes only even permutations of the current tour and the
+    chain stays in one parity coset; use an odd count when full-support
+    sampling matters.
+    """
+    first, partners, counts = _proposal_tables(n, cfg.max_swap_len, cfg.fix_first)
+    lead, u = u.shape[:-1], u.reshape(-1, u.shape[-1])
+    p = first[(u[:, 0:-1:2] * first.shape[0]).astype(np.int64)]
+    q = partners[p, (u[:, 1:-1:2] * counts[p]).astype(np.int64)]
+    order = np.tile(np.arange(n), (u.shape[0], 1))
+    row_start = np.arange(0, order.size, n)[:, None]
+    flat, p, q = order.reshape(-1), p + row_start, q + row_start
+    for pk, qk in zip(p.T, q.T):
+        flat[pk], flat[qk] = flat[qk], flat[pk]
+    return order.reshape(*lead, n)
+
+
+def _accept(current, new, u):
+    """Metropolis decisions 1 - u <= |psi_new/psi_current|^2 on cached log-amplitudes:
+    1 - u is in (0, 1], so a ratio >= 1 always passes; NaN and -inf proposals never do."""
+    with np.errstate(invalid="ignore"):  # inf - inf where both amplitudes vanish
+        return np.real(new) - np.real(current) >= 0.5 * np.log1p(-u)
 
 
 def init_chains(
@@ -111,47 +140,16 @@ def init_chains(
     return chains
 
 
-def propose_swap(state: ChainState, cfg: SamplerConfig) -> np.ndarray:
-    """Apply cfg.n_swaps random position swaps to a copy of the current tour.
-
-    Each swap is a transposition, so an even n_swaps proposes only even
-    permutations of the current tour and the chain stays in one parity
-    coset; use an odd count when full-support sampling matters.
-    """
-    tour = state.current
-    n = tour.shape[0]
-    first, partners = _proposal_tables(n, cfg.max_swap_len, cfg.fix_first)
-    proposal = tour.copy()
-    rng = state.rng
-    for _ in range(cfg.n_swaps):
-        p = int(first[rng.integers(first.shape[0])])
-        cand = partners[p]
-        if cand.shape[0] == 0:  # only possible at N=2 with fix_first
-            continue
-        q = int(cand[rng.integers(cand.shape[0])])
-        proposal[p], proposal[q] = proposal[q], proposal[p]
-    return proposal
-
-
-def _decide(state: ChainState, proposal: np.ndarray, log_psi_new: complex) -> None:
-    """Accept or reject a proposal with cached amplitude log_psi_new."""
-    state.n_proposed += 1
-    u = state.rng.random()  # drawn unconditionally to keep the stream position fixed
-    re_new = log_psi_new.real
-    if math.isnan(re_new) or re_new == -math.inf:
-        return
-    delta = re_new - state.log_psi_current.real
-    if delta >= 0 or u < math.exp(2.0 * delta):
-        state.current = proposal
-        state.log_psi_current = log_psi_new
-        state.n_accepted += 1
-
-
 def mh_step(state: ChainState, log_psi: LogPsiFn, cfg: SamplerConfig) -> ChainState:
-    """One Metropolis-Hastings update in place; returns the state."""
-    proposal = propose_swap(state, cfg)
+    """One Metropolis-Hastings update in place, the one-chain, one-step case
+    of run_chains; returns the state."""
+    u = state.rng.random(2 * cfg.n_swaps + 1)
+    proposal = state.current[_proposal_order(u, state.current.shape[0], cfg)]
     value = complex(np.asarray(log_psi(proposal[None, :]))[0])
-    _decide(state, proposal, value)
+    state.n_proposed += 1
+    if _accept(state.log_psi_current, value, u[-1]):
+        state.current, state.log_psi_current = proposal, value
+        state.n_accepted += 1
     return state
 
 
@@ -162,42 +160,43 @@ def run_chains(chains: list[ChainState], log_psi: LogPsiFn, cfg: SamplerConfig) 
     the first chains record sample_size // n_chains configurations and the
     last chain absorbs the remainder. Cached amplitudes are refreshed at
     the start so the pass is consistent with the current evaluator
-    snapshot. Proposal evaluation is batched across chains, with identical
-    per-chain RNG streams to stepping each chain alone.
+    snapshot. The chains step as rows of one array, with one evaluator call
+    per step, and their trajectories equal stepping each alone with mh_step.
     """
     n_chains = len(chains)
     n = chains[0].current.shape[0]
     warmup = cfg.n_warmup if cfg.n_warmup is not None else 10 * n
-    base = cfg.sample_size // n_chains
-    counts = [base] * n_chains
-    counts[-1] = cfg.sample_size - base * (n_chains - 1)
-    totals = [warmup + k for k in counts]
+    counts = np.full(n_chains, cfg.sample_size // n_chains)
+    counts[-1] = cfg.sample_size - counts[0] * (n_chains - 1)
+    totals = warmup + counts
+    first_row = np.cumsum(counts) - counts  # each chain's first recorded row
 
-    values = np.asarray(log_psi(np.stack([c.current for c in chains])))
-    for chain, value in zip(chains, values):
-        chain.log_psi_current = complex(value)
+    u = np.zeros((n_chains, totals[-1], 2 * cfg.n_swaps + 1))
+    for chain, rows, total in zip(chains, u, totals):
+        chain.rng.random(out=rows[:total])
+    flat_order = _proposal_order(u, n, cfg) + n * np.arange(n_chains)[:, None, None]
+    tours = np.stack([c.current for c in chains])
+    current = np.array(log_psi(tours), dtype=np.complex128)
+    accepted = np.zeros(n_chains, dtype=np.int64)
+    configs = np.empty((cfg.sample_size, n), dtype=tours.dtype)
+    psi = np.empty(cfg.sample_size, dtype=np.complex128)
+    for step in range(totals[-1]):
+        live = slice(0 if step < totals[0] else n_chains - 1, None)  # the last runs longest
+        proposals = tours.reshape(-1)[flat_order[live, step]]
+        values = np.asarray(log_psi(proposals))
+        ok = _accept(current[live], values, u[live, step, -1])
+        np.copyto(tours[live], proposals, where=ok[:, None])
+        np.copyto(current[live], values, where=ok)
+        accepted[live] += ok
+        if step >= warmup:
+            rows = first_row[live] + (step - warmup)
+            configs[rows] = tours[live]
+            psi[rows] = current[live]
 
-    proposed_before = sum(c.n_proposed for c in chains)
-    accepted_before = sum(c.n_accepted for c in chains)
-    recorded = [[] for _ in range(n_chains)]
-    recorded_psi = [[] for _ in range(n_chains)]
-    proposals = np.empty((n_chains, n), dtype=np.int64)
-    for step in range(max(totals)):
-        active = [i for i in range(n_chains) if step < totals[i]]
-        for i in active:
-            proposals[i] = propose_swap(chains[i], cfg)
-        new_values = np.asarray(log_psi(proposals[active]))
-        for value, i in zip(new_values, active):
-            chain = chains[i]
-            _decide(chain, proposals[i].copy(), complex(value))
-            if step >= warmup:
-                recorded[i].append(chain.current)
-                recorded_psi[i].append(chain.log_psi_current)
-
-    configs = np.concatenate([np.stack(r) for r in recorded])
-    psi = np.concatenate([np.asarray(r, dtype=np.complex128) for r in recorded_psi])
-    n_proposed = sum(c.n_proposed for c in chains) - proposed_before
-    n_accepted = sum(c.n_accepted for c in chains) - accepted_before
-    rate = n_accepted / n_proposed if n_proposed else 0.0
-    return Sample(configs=configs, log_psi=psi, acceptance_rate=rate,
+    for chain, tour, value, total, n_acc in zip(chains, tours, current, totals, accepted):
+        chain.current, chain.log_psi_current = tour, complex(value)
+        chain.n_proposed += int(total)
+        chain.n_accepted += int(n_acc)
+    n_proposed, n_accepted = int(totals.sum()), int(accepted.sum())
+    return Sample(configs=configs, log_psi=psi, acceptance_rate=n_accepted / n_proposed,
                   n_proposed=n_proposed, n_accepted=n_accepted)

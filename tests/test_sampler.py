@@ -3,20 +3,32 @@ from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qtsp.instance import linear_instance
 from qtsp.sampler import (
     SamplerConfig,
+    _proposal_order,
     _proposal_tables,
     init_chains,
     mh_step,
-    propose_swap,
     run_chains,
 )
 
 
 def constant_psi(tours):
     return np.zeros(len(tours))
+
+
+def amplitude_only_at(tour, elsewhere):
+    """log psi 0 on one tour and `elsewhere` (-inf or NaN) on every other."""
+    return lambda t: np.where((t == tour).all(axis=1), 0.0, elsewhere)
+
+
+def linear_psi(n):
+    """A fixed random linear evaluator over tours of n cities."""
+    w = np.random.default_rng(n).normal(size=n)
+    return lambda t: 0.3 * (t @ w) + 0.1j * t[:, 0]
 
 
 def make_cfg(**overrides):
@@ -38,6 +50,11 @@ class TestConfigValidation:
     def test_rejects_sample_smaller_than_chains(self):
         with pytest.raises(ValueError):
             make_cfg(n_chains=8, sample_size=4)
+
+    def test_rejects_negative_warmup(self):
+        with pytest.raises(ValueError):
+            make_cfg(n_warmup=-3)
+        assert make_cfg(n_warmup=0).n_warmup == 0
 
 
 class TestInitChains:
@@ -65,49 +82,67 @@ class TestInitChains:
         assert all(c.log_psi_current == 0.5 + 0.25j for c in chains)
 
 
+def proposals(chain, cfg, count):
+    """(before, after) tours of `count` constant-amplitude mh_steps, each of
+    which accepts its proposal."""
+    for _ in range(count):
+        before = chain.current
+        mh_step(chain, constant_psi, cfg)
+        yield before, chain.current
+
+
 class TestProposeSwap:
     def test_preserves_permutations(self):
         cfg = make_cfg(n_swaps=3, max_swap_len=2)
         chain = init_chains(linear_instance(6), cfg)[0]
-        for _ in range(200):
-            proposal = propose_swap(chain, cfg)
+        for _, proposal in proposals(chain, cfg, 200):
             assert sorted(proposal) == list(range(1, 7))
-            chain.current = proposal
 
     def test_every_pair_reachable(self):
         cfg = make_cfg(n_swaps=1, max_swap_len=4, fix_first=False)
         chain = init_chains(linear_instance(4), cfg)[0]
-        seen = set()
-        for _ in range(500):
-            proposal = propose_swap(chain, cfg)
-            diff = tuple(np.flatnonzero(proposal != chain.current))
-            seen.add(diff)
+        seen = {tuple(np.flatnonzero(after != before))
+                for before, after in proposals(chain, cfg, 500)}
         assert seen == {(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}
 
     def test_fix_first_never_touches_slot_one(self):
         cfg = make_cfg(n_swaps=4, max_swap_len=5, fix_first=True, n_chains=1, sample_size=1)
         chain = init_chains(linear_instance(5), cfg)[0]
-        for _ in range(300):
-            proposal = propose_swap(chain, cfg)
+        for _, proposal in proposals(chain, cfg, 300):
             assert proposal[0] == 1
-            chain.current = proposal
 
     def test_swap_distance_respected(self):
         cfg = make_cfg(n_swaps=1, max_swap_len=1, fix_first=False)
         chain = init_chains(linear_instance(6), cfg)[0]
-        for _ in range(200):
-            proposal = propose_swap(chain, cfg)
-            p, q = np.flatnonzero(proposal != chain.current)
+        for before, after in proposals(chain, cfg, 200):
+            p, q = np.flatnonzero(after != before)
             assert min((q - p) % 6, (p - q) % 6) == 1
-            chain.current = proposal
+
+    def test_largest_uniform_stays_in_range(self):
+        """floor(u * m) < m at the largest uniform below 1, for every count
+        a table can hold; it picks the last first position and the last
+        partner."""
+        u_max = np.nextafter(1.0, 0.0)
+        m = np.arange(1, 100_000)
+        assert ((u_max * m).astype(np.int64) < m).all()
+        for n in range(2, 13):
+            for max_swap_len in range(1, n + 1):
+                for fix_first in (False, True):
+                    cfg = make_cfg(max_swap_len=max_swap_len, fix_first=fix_first)
+                    first, partners, counts = _proposal_tables(n, max_swap_len, fix_first)
+                    p = first[-1]
+                    q = partners[p, max(counts[p] - 1, 0)]
+                    expected = np.arange(n)
+                    expected[[p, q]] = expected[[q, p]]
+                    assert np.array_equal(_proposal_order(np.full(3, u_max), n, cfg), expected)
 
 
 def proposal_distribution(state_tuple, cfg, n):
     """Exact proposal law for n_swaps=1 by enumerating the decision tree."""
-    first, partners = _proposal_tables(n, cfg.max_swap_len, cfg.fix_first)
+    first, partners, counts = _proposal_tables(n, cfg.max_swap_len, cfg.fix_first)
     dist = defaultdict(float)
     for p in first:
-        cand = partners[int(p)]
+        cand = partners[p, :counts[p]]
         for q in cand:
             out = list(state_tuple)
             out[p], out[q] = out[q], out[p]
@@ -143,6 +178,7 @@ class TestMhStep:
             mh_step(chain, dead, cfg)
         assert chain.n_accepted == 0
         assert np.array_equal(chain.current, start)
+        assert_run_chains_rejects_all(-math.inf)
 
     def test_nan_amplitude_rejects(self):
         cfg = make_cfg(n_chains=1, sample_size=1)
@@ -150,6 +186,7 @@ class TestMhStep:
         chain = init_chains(linear_instance(4), cfg, log_psi=constant_psi)[0]
         mh_step(chain, broken, cfg)
         assert chain.n_accepted == 0
+        assert_run_chains_rejects_all(math.nan)
 
     @pytest.mark.parametrize("ratio", [-1.0, -0.1])
     def test_rigged_acceptance_frequency(self, ratio):
@@ -166,6 +203,20 @@ class TestMhStep:
         p_true = min(1.0, math.exp(2 * ratio))
         se = math.sqrt(p_true * (1 - p_true) / trials)
         assert abs(accepted / trials - p_true) < 3 * se
+
+
+def assert_run_chains_rejects_all(value):
+    """run_chains never leaves the start tour when every proposal has log psi
+    `value`: neither from a finite cached amplitude nor from one that is
+    `value` itself."""
+    cfg = make_cfg(n_chains=3, sample_size=10, fix_first=True, n_warmup=5)
+    start = init_chains(linear_instance(5), cfg)[0].current.copy()
+    for log_psi in (amplitude_only_at(start, value), lambda t: np.full(len(t), value)):
+        chains = init_chains(linear_instance(5), cfg)
+        sample = run_chains(chains, log_psi, cfg)
+        assert sample.n_accepted == 0 and sample.n_proposed == 3 * 5 + 10
+        assert (sample.configs == start).all()
+        assert all(np.array_equal(c.current, start) for c in chains)
 
 
 class TestParityOfProposals:
@@ -225,28 +276,42 @@ class TestRunChains:
         assert not np.array_equal(chains[0].current, chains[1].current) or \
             chains[0].rng.random() != chains[1].rng.random()
 
-    def test_batched_equals_sequential_stepping(self):
-        """run_chains batches amplitude evaluation; with a row-wise python
+    @pytest.mark.parametrize("sample_size, n_swaps", [
+        pytest.param(9, 2, id="even-split"),
+        pytest.param(10, 1, id="last-chain-longer-1-swap"),
+        pytest.param(10, 3, id="last-chain-longer-3-swaps"),
+    ])
+    def test_batched_equals_sequential_stepping(self, sample_size, n_swaps):
+        """run_chains steps the chains as one array; with a row-wise python
         evaluator the trajectories must match stepping each chain alone."""
         inst = linear_instance(4)
-        cfg = make_cfg(n_chains=3, n_swaps=2, max_swap_len=2, sample_size=9,
+        cfg = make_cfg(n_chains=3, n_swaps=n_swaps, max_swap_len=2, sample_size=sample_size,
                        seed=11, n_warmup=5)
         f = lambda t: np.array([0.1 * float(row @ np.arange(1, 5)) + 0.05j * row[0]
                                 for row in t])
-        batched = run_chains(init_chains(inst, cfg), f, cfg)
+        batched_chains = init_chains(inst, cfg)
+        batched = run_chains(batched_chains, f, cfg)
 
         chains = init_chains(inst, cfg)
         values = f(np.stack([c.current for c in chains]))
-        for chain, v in zip(chains, values):
+        configs, psi = [], []
+        for i, (chain, v) in enumerate(zip(chains, values)):
             chain.log_psi_current = complex(v)
-        recorded = [[] for _ in chains]
-        for step in range(5 + 3):
-            for i, chain in enumerate(chains):
+            n_record = sample_size // 3 if i < 2 else sample_size - 2 * (sample_size // 3)
+            for step in range(5 + n_record):
                 mh_step(chain, f, cfg)
                 if step >= 5:
-                    recorded[i].append(chain.current.copy())
-        sequential = np.concatenate([np.stack(r) for r in recorded])
-        assert np.array_equal(batched.configs, sequential)
+                    configs.append(chain.current.copy())
+                    psi.append(chain.log_psi_current)
+        assert np.array_equal(batched.configs, np.stack(configs))
+        assert np.array_equal(batched.log_psi, np.array(psi))
+        assert batched.n_proposed == sum(c.n_proposed for c in chains)
+        assert batched.n_accepted == sum(c.n_accepted for c in chains)
+        for a, b in zip(batched_chains, chains):
+            assert np.array_equal(a.current, b.current)
+            assert a.log_psi_current == b.log_psi_current
+            assert (a.n_proposed, a.n_accepted) == (b.n_proposed, b.n_accepted)
+            assert a.rng.random() == b.rng.random()  # same stream position
 
     def test_acceptance_rate_counts_this_pass_only(self):
         cfg = make_cfg(sample_size=20, fix_first=True)
@@ -272,3 +337,44 @@ def test_uniform_sampling_with_constant_amplitude():
     expected = cfg.sample_size / 24
     chi2 = sum((counts[k] - expected) ** 2 / expected for k in counts)
     assert chi2 < stats.chi2.ppf(0.99, 23)
+
+
+@st.composite
+def sampler_configs(draw):
+    n = draw(st.integers(2, 12))
+    n_chains = draw(st.integers(1, 4))
+    cfg = SamplerConfig(
+        n_chains=n_chains, n_swaps=draw(st.integers(1, 5)),
+        max_swap_len=draw(st.integers(1, n)), fix_first=draw(st.booleans()),
+        sample_size=draw(st.integers(n_chains, 4 * n_chains + 3)),
+        seed=draw(st.integers(0, 2**32 - 1)), n_warmup=draw(st.integers(0, 5)))
+    return n, cfg
+
+
+class TestKernelProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(sampler_configs())
+    def test_run_chains_records_valid_tours(self, case):
+        n, cfg = case
+        f = linear_psi(n)
+        sample = run_chains(init_chains(linear_instance(n), cfg, f), f, cfg)
+        assert sample.configs.shape == (cfg.sample_size, n)
+        assert np.array_equal(np.sort(sample.configs, axis=1),
+                              np.broadcast_to(np.arange(1, n + 1), sample.configs.shape))
+        if cfg.fix_first:
+            assert (sample.configs[:, 0] == 1).all()
+
+    @settings(max_examples=80, deadline=None)
+    @given(sampler_configs())
+    def test_single_swap_moves_two_positions_in_range(self, case):
+        n, cfg = case
+        cfg = SamplerConfig(n_chains=1, n_swaps=1, max_swap_len=cfg.max_swap_len,
+                            fix_first=cfg.fix_first, sample_size=1, seed=cfg.seed)
+        chain = init_chains(linear_instance(n), cfg)[0]
+        for before, after in proposals(chain, cfg, 20):
+            moved = np.flatnonzero(after != before)
+            if n == 2 and cfg.fix_first:
+                assert moved.size == 0
+            else:
+                p, q = moved
+                assert min((q - p) % n, (p - q) % n) <= cfg.max_swap_len
