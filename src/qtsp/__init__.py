@@ -22,7 +22,7 @@ from .encoding import (
     twobody_element,
 )
 from .errors import InvalidInstanceError, InvalidTourError, QtspError, SizeLimitError
-from .harness import ExperimentSpec, SweepSummary, report_convergence, run_experiment, sweep
+from .harness import SweepSummary, report_convergence, sweep
 from .instance import (
     Instance,
     brute_force_optimum,
@@ -53,6 +53,5 @@ from .vmc import (
     adam_update,
     estimate_energy,
     estimate_gradient,
-    local_energy,
     train,
 )

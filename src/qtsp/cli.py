@@ -18,7 +18,8 @@ import numpy as np
 
 from . import __version__, encoding, harness, instance as inst
 from .errors import QtspError
-from .instance import Instance, linear_instance, load_instance, save_instance
+from .instance import Instance, linear_instance, load_instance
+from .vmc import VmcConfig, train
 
 
 class _UsageError(Exception):
@@ -39,13 +40,12 @@ def _add_instance_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--instance", type=str, help="path to an instance JSON file")
 
 
-def _resolve_instance(args) -> tuple[Instance, bool]:
-    """Returns (instance, generated_linear)."""
+def _resolve_instance(args) -> Instance:
     if (args.cities is None) == (args.instance is None):
         raise _UsageError("exactly one of --cities and --instance is required")
     if args.cities is not None:
-        return linear_instance(args.cities), True
-    return load_instance(args.instance), False
+        return linear_instance(args.cities)
+    return load_instance(args.instance)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,7 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--channels", type=int, default=None, help="channels (qudit)")
     p_solve.add_argument("--kernel", type=int, default=None, help="kernel size (qudit)")
     p_solve.add_argument("--target", type=str, default=None,
-                         help="stop when this energy is reached; 'auto' derives it")
+                         help="stop when this energy is reached; 'auto' derives it "
+                              "(default: no target)")
     p_solve.add_argument("--time-limit", type=float, default=600.0,
                          help="wall-clock prune in seconds")
     p_solve.add_argument("--no-improve-steps", type=int, default=300)
@@ -116,21 +117,12 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _cmd_gen(args) -> int:
-    instance = linear_instance(args.cities)
-    if args.out == "-":
-        payload = {
-            "n_cities": instance.n_cities,
-            "coords": instance.coords.tolist(),
-            "dist": instance.dist.tolist(),
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        save_instance(instance, args.out)
+    _write_text(args.out, inst.instance_json(linear_instance(args.cities)))
     return 0
 
 
 def _cmd_exact(args) -> int:
-    instance, _ = _resolve_instance(args)
+    instance = _resolve_instance(args)
     tour, length = inst.brute_force_optimum(instance)
     print("tour:", " ".join(str(c) for c in tour))
     print(f"length: {length}")
@@ -138,7 +130,7 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_diag(args) -> int:
-    instance, _ = _resolve_instance(args)
+    instance = _resolve_instance(args)
     if args.p is None:
         pen = encoding.default_penalties(instance)
     else:
@@ -156,7 +148,7 @@ def _cmd_diag(args) -> int:
     return 0
 
 
-def _solve_config(args, instance: Instance) -> "harness.VmcConfig":
+def _solve_config(args, instance: Instance) -> VmcConfig:
     n = instance.n_cities
     rep = args.rep
     net = args.net if args.net is not None else ("cnn" if rep == "qudit" else "rbm")
@@ -178,9 +170,8 @@ def _solve_config(args, instance: Instance) -> "harness.VmcConfig":
             hyper[key] = value
     seed = args.seed if args.seed is not None else _env_seed()
     return harness.make_vmc_config(
-        n, rep, hyper,
-        seed=seed, max_steps=args.steps, wall_clock_s=args.time_limit,
-        fix_first=args.fix_first, prune_no_improve_steps=args.no_improve_steps,
+        rep, hyper, seed=seed, fix_first=args.fix_first, max_steps=args.steps,
+        prune_no_improve_steps=args.no_improve_steps, prune_wall_clock_s=args.time_limit,
     )
 
 
@@ -199,20 +190,18 @@ def _resolve_target(args, instance: Instance) -> float | None:
 
 
 def _cmd_solve(args) -> int:
-    instance, _ = _resolve_instance(args)
+    instance = _resolve_instance(args)
     cfg = _solve_config(args, instance)
     target = _resolve_target(args, instance)
-    seed = cfg.sampler.seed
-    spec = harness.ExperimentSpec(instance=instance, vmc=cfg, seed=seed, target_energy=target)
 
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
             def sink(line: dict) -> None:
                 fh.write(json.dumps(line) + "\n")
                 fh.flush()
-            record = harness.run_experiment(spec, sink=sink)
+            record = train(instance, cfg, target_energy=target, sink=sink)
     else:
-        record = harness.run_experiment(spec)
+        record = train(instance, cfg, target_energy=target)
 
     print(f"reason: {record.termination_reason}")
     print(f"steps: {record.n_steps}")
@@ -224,11 +213,11 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    instance, _ = _resolve_instance(args)
+    instance = _resolve_instance(args)
     seed = args.seed if args.seed is not None else _env_seed()
     summary = harness.sweep(
         instance, args.rep, None, args.trials, seed,
-        max_steps=args.steps, wall_clock_s=args.time_limit,
+        max_steps=args.steps, prune_wall_clock_s=args.time_limit,
     )
     if args.out == "-":
         from dataclasses import asdict

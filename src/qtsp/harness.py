@@ -1,5 +1,6 @@
-"""Experiment harness: single runs, random hyperparameter sweeps with
-pruning, and CSV convergence reports comparing the two representations.
+"""Experiment harness: default hyperparameters, random hyperparameter
+sweeps with pruning, and CSV convergence reports comparing the two
+representations.
 
 The sweep replaces a model-based hyperparameter optimizer with seeded
 uniform random search over declared ranges; pruning (no-improvement
@@ -12,31 +13,16 @@ import csv
 import io
 import json
 import statistics
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .instance import Instance, brute_force_optimum, planted_optimum
 from .sampler import SamplerConfig
-from .vmc import RunRecord, VmcConfig, train
+from .vmc import VmcConfig, train
 
 REPORT_HEADER = ["n_cities", "representation", "n_trials", "percent_converged", "median_time_s"]
-
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """One fully-specified run: instance, configuration, master seed and
-    (optionally) the energy that counts as success."""
-
-    instance: Instance
-    vmc: VmcConfig
-    seed: int
-    target_energy: float | None = None
-
-    @property
-    def representation(self) -> str:
-        return self.vmc.representation
 
 
 def is_planted_linear(instance: Instance) -> bool:
@@ -47,7 +33,7 @@ def is_planted_linear(instance: Instance) -> bool:
 
 
 def default_target(instance: Instance) -> float | None:
-    """Success energy when the caller does not give one: the planted
+    """Success energy for `solve --target auto` and for sweeps: the planted
     optimum on the line layout, the brute-force optimum on other small
     instances, nothing otherwise."""
     if is_planted_linear(instance):
@@ -55,14 +41,6 @@ def default_target(instance: Instance) -> float | None:
     if instance.n_cities <= 10:
         return brute_force_optimum(instance)[1]
     return None
-
-
-def run_experiment(spec: ExperimentSpec, sink=None) -> RunRecord:
-    """Execute one training run; spec.seed overrides the sampler seed so a
-    single integer reproduces the whole run."""
-    cfg = replace(spec.vmc, sampler=replace(spec.vmc.sampler, seed=spec.seed))
-    target = spec.target_energy if spec.target_energy is not None else default_target(spec.instance)
-    return train(spec.instance, cfg, target_energy=target, sink=sink)
 
 
 # ---------------------------------------------------------------------------
@@ -104,16 +82,16 @@ def midpoint_hyperparams(n_cities: int, representation: str) -> dict:
 
 
 def make_vmc_config(
-    n_cities: int,
     representation: str,
     hyperparams: dict,
     *,
     seed: int,
-    max_steps: int,
-    wall_clock_s: float = 600.0,
     fix_first: bool = True,
-    prune_no_improve_steps: int = 300,
+    **budgets,
 ) -> VmcConfig:
+    """A run configuration from sampled hyperparameters. `budgets` are
+    VmcConfig's max_steps, prune_no_improve_steps and prune_wall_clock_s;
+    the ones not given keep VmcConfig's defaults."""
     sampler = SamplerConfig(
         n_chains=int(hyperparams["n_chains"]),
         n_swaps=int(hyperparams["n_swaps"]),
@@ -129,9 +107,7 @@ def make_vmc_config(
         n_channels=int(hyperparams.get("n_channels", 0)),
         kernel_size=int(hyperparams.get("kernel_size", 0)),
         learning_rate=float(hyperparams["learning_rate"]),
-        max_steps=max_steps,
-        prune_no_improve_steps=prune_no_improve_steps,
-        prune_wall_clock_s=wall_clock_s,
+        **budgets,
     )
 
 
@@ -141,13 +117,11 @@ def midpoint_vmc_config(
     *,
     seed: int,
     max_steps: int,
-    wall_clock_s: float = 600.0,
-    fix_first: bool = True,
 ) -> VmcConfig:
     """Single-run defaults: the midpoints of the declared search ranges."""
     return make_vmc_config(
-        n_cities, representation, midpoint_hyperparams(n_cities, representation),
-        seed=seed, max_steps=max_steps, wall_clock_s=wall_clock_s, fix_first=fix_first,
+        representation, midpoint_hyperparams(n_cities, representation),
+        seed=seed, max_steps=max_steps,
     )
 
 
@@ -200,27 +174,21 @@ def sweep(
     search_space: dict | None,
     n_trials: int,
     seed: int,
-    *,
-    target_energy: float | None = None,
-    max_steps: int = 400,
-    wall_clock_s: float = 600.0,
-    fix_first: bool = True,
+    **budgets,
 ) -> SweepSummary:
-    """Random hyperparameter search with the standard pruning rules."""
+    """Random hyperparameter search with the standard pruning rules. Every
+    trial runs to `default_target(instance)` within `budgets`, as in
+    `make_vmc_config`."""
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
     space = search_space if search_space is not None else default_search_space(
         instance.n_cities, representation
     )
-    target = target_energy if target_energy is not None else default_target(instance)
+    target = default_target(instance)
 
     def run_trial(trial: int) -> TrialResult:
         hyperparams, run_seed = sample_trial_hyperparams(space, seed, trial)
-        cfg = make_vmc_config(
-            instance.n_cities, representation, hyperparams,
-            seed=run_seed, max_steps=max_steps, wall_clock_s=wall_clock_s,
-            fix_first=fix_first,
-        )
+        cfg = make_vmc_config(representation, hyperparams, seed=run_seed, **budgets)
         record = train(instance, cfg, target_energy=target)
         return TrialResult(
             trial=trial,
@@ -252,9 +220,14 @@ def save_summary(summary: SweepSummary, path: str | Path) -> None:
 
 
 def load_summary(path: str | Path) -> SweepSummary:
+    """Inverse of save_summary. Raises ValueError naming the file when a
+    key is missing or unknown."""
     payload = json.loads(Path(path).read_text())
-    trials = [TrialResult(**t) for t in payload.pop("trials")]
-    return SweepSummary(trials=trials, **payload)
+    try:
+        trials = [TrialResult(**t) for t in payload.pop("trials")]
+        return SweepSummary(trials=trials, **payload)
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: malformed sweep summary ({exc})") from None
 
 
 def report_convergence(summaries: list[SweepSummary]) -> str:

@@ -171,13 +171,18 @@ def farthest_city_tour(instance: Instance, start_city: int) -> np.ndarray:
     return np.array(order, dtype=np.int64)
 
 
-def save_instance(instance: Instance, path: str | Path) -> None:
+def instance_json(instance: Instance) -> str:
+    """The instance file format that load_instance reads."""
     payload = {
         "n_cities": instance.n_cities,
         "coords": None if instance.coords is None else instance.coords.tolist(),
         "dist": instance.dist.tolist(),
     }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def save_instance(instance: Instance, path: str | Path) -> None:
+    Path(path).write_text(instance_json(instance))
 
 
 def load_instance(path: str | Path) -> Instance:

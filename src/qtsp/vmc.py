@@ -20,7 +20,7 @@ import numpy as np
 from . import nqs
 from .encoding import tours_to_sigma
 from .errors import InvalidTourError
-from .instance import Instance, is_permutation, tour_lengths
+from .instance import Instance, tour_lengths
 from .sampler import Sample, SamplerConfig, init_chains, run_chains
 
 IMPROVEMENT_TOL = 1e-12
@@ -160,23 +160,14 @@ def build_ansatz(cfg: VmcConfig, n_cities: int) -> Ansatz:
 # estimators
 # ---------------------------------------------------------------------------
 
-def local_energy(instance: Instance, config: np.ndarray) -> float:
-    """Diagonal local energy of a valid tour: its cyclic length.
+def local_energies(instance: Instance, configs: np.ndarray) -> np.ndarray:
+    """Diagonal local energies of a (B, N) batch of valid tours: their
+    cyclic lengths.
 
     Identical in both representations because the constraint terms vanish
-    on the valid manifold; a non-permutation argument means the sampler
-    leaked an invalid state and is reported as an error.
+    on the valid manifold; a non-permutation row means the sampler leaked
+    an invalid state and is reported as an error.
     """
-    config = np.asarray(config, dtype=np.int64)
-    if not is_permutation(config, instance.n_cities):
-        raise InvalidTourError(
-            f"invalid configuration reached the energy estimator: {config.tolist()}"
-        )
-    return float(tour_lengths(instance, config[None, :])[0])
-
-
-def local_energies(instance: Instance, configs: np.ndarray) -> np.ndarray:
-    """Batched local energies with the same validity guard."""
     configs = np.asarray(configs, dtype=np.int64)
     expected = np.arange(1, instance.n_cities + 1)
     if not np.array_equal(np.sort(configs, axis=1), np.broadcast_to(expected, configs.shape)):

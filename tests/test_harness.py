@@ -1,7 +1,7 @@
 import csv
 import io
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ import pytest
 from helpers import random_symmetric_instance
 from qtsp.cli import cli
 from qtsp.harness import (
-    ExperimentSpec,
     SweepSummary,
     TrialResult,
     default_search_space,
@@ -18,12 +17,12 @@ from qtsp.harness import (
     midpoint_hyperparams,
     midpoint_vmc_config,
     report_convergence,
-    run_experiment,
     sample_trial_hyperparams,
     save_summary,
     sweep,
 )
 from qtsp.instance import brute_force_optimum, linear_instance, planted_optimum, save_instance
+from qtsp.vmc import train
 
 
 class TestDefaultTarget:
@@ -60,35 +59,18 @@ class TestMidpointDefaults:
 
 
 class TestRunExperiment:
+    """One run as `qtsp solve` makes it: the midpoint defaults into train."""
+
     def test_converges_on_small_instance(self):
-        inst = linear_instance(4)
-        spec = ExperimentSpec(
-            instance=inst,
-            vmc=midpoint_vmc_config(4, "qudit", seed=0, max_steps=500),
-            seed=3,
-        )
-        record = run_experiment(spec)
+        cfg = midpoint_vmc_config(4, "qudit", seed=3, max_steps=500)
+        record = train(linear_instance(4), cfg, target_energy=planted_optimum(4))
         assert record.converged
         assert record.best_energy == 6.0
 
-    def test_seed_overrides_sampler_seed(self):
-        inst = linear_instance(4)
-        spec = ExperimentSpec(
-            instance=inst,
-            vmc=midpoint_vmc_config(4, "qudit", seed=999, max_steps=50),
-            seed=3,
-        )
-        record = run_experiment(spec)
-        assert record.config["sampler"]["seed"] == 3
-
     def test_deterministic(self):
         inst = linear_instance(6)
-        spec = ExperimentSpec(
-            instance=inst,
-            vmc=midpoint_vmc_config(6, "qudit", seed=0, max_steps=200),
-            seed=5,
-        )
-        a, b = run_experiment(spec), run_experiment(spec)
+        cfg = midpoint_vmc_config(6, "qudit", seed=5, max_steps=200)
+        a, b = (train(inst, cfg, target_energy=planted_optimum(6)) for _ in range(2))
         assert a.converged == b.converged
         assert np.array_equal(a.best_tour, b.best_tour)
 
@@ -97,11 +79,10 @@ class TestRunExperiment:
         does not find the planted optimum in a 200-step budget, while the
         same budget with learning succeeds."""
         inst = linear_instance(16)
-        base = midpoint_vmc_config(16, "qudit", seed=0, max_steps=200)
-        frozen = run_experiment(ExperimentSpec(
-            instance=inst, vmc=replace(base, learning_rate=0.0), seed=1))
+        base = midpoint_vmc_config(16, "qudit", seed=1, max_steps=200)
+        frozen = train(inst, replace(base, learning_rate=0.0), target_energy=planted_optimum(16))
         assert not frozen.converged
-        learned = run_experiment(ExperimentSpec(instance=inst, vmc=base, seed=1))
+        learned = train(inst, base, target_energy=planted_optimum(16))
         assert learned.converged
 
 
@@ -194,10 +175,14 @@ class TestCli:
         assert "tour: 1 2 3 4" in out
         assert "length: 6.0" in out
 
-    def test_gen_to_stdout(self, capsys):
+    def test_gen_to_stdout(self, tmp_path, capsys):
+        path = tmp_path / "lin3.json"
+        assert cli(["gen", "--cities", "3", "--out", str(path)]) == 0
+        capsys.readouterr()
         assert cli(["gen", "--cities", "3"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["n_cities"] == 3
+        out = capsys.readouterr().out
+        assert out.encode() == path.read_bytes()
+        assert json.loads(out)["n_cities"] == 3
 
     def test_solve_writes_streaming_jsonl(self, tmp_path, capsys):
         out = tmp_path / "run.jsonl"
@@ -211,6 +196,32 @@ class TestCli:
         assert lines[0]["type"] == "header"
         assert lines[-1]["type"] == "footer"
         assert lines[-1]["best_energy"] == 8.0
+
+    def test_solve_without_target_has_no_target(self, tmp_path):
+        out = tmp_path / "run.jsonl"
+        assert cli(["solve", "--rep", "qudit", "--cities", "6", "--steps", "3",
+                    "--out", str(out)]) == 0
+        lines = [json.loads(line) for line in out.read_text().splitlines()]
+        assert lines[0]["target_energy"] is None
+        assert lines[-1]["reason"] == "max-steps"
+        assert lines[-1]["n_steps"] == 3
+
+    def test_solve_is_train_with_the_cli_defaults(self, tmp_path):
+        """Nothing between the flags and train decides anything a second
+        time: same lines as train on the midpoint config, clocks aside."""
+        out = tmp_path / "run.jsonl"
+        assert cli(["solve", "--rep", "qudit", "--cities", "8", "--seed", "3",
+                    "--target", "auto", "--steps", "200", "--out", str(out)]) == 0
+        lines = []
+        cfg = midpoint_vmc_config(8, "qudit", seed=3, max_steps=200)
+        train(linear_instance(8), cfg, planted_optimum(8), sink=lines.append)
+
+        def without_clocks(line):
+            return {k: v for k, v in line.items()
+                    if k not in ("wall_clock_s", "total_time_s", "time_to_target_s")}
+
+        from_cli = [without_clocks(json.loads(line)) for line in out.read_text().splitlines()]
+        assert from_cli == [without_clocks(json.loads(json.dumps(line))) for line in lines]
 
     def test_solve_flag_overrides_land_in_config(self, tmp_path):
         out = tmp_path / "run.jsonl"
@@ -261,6 +272,20 @@ class TestCli:
         rows = list(csv.reader(io.StringIO(csv_path.read_text())))
         assert rows[0][0] == "n_cities"
         assert rows[1][0] == "4"
+
+    @pytest.mark.parametrize("broken", ["no trials", "unknown trial key"])
+    def test_malformed_summary_is_runtime_error(self, tmp_path, capsys, broken):
+        payload = asdict(fake_summary(4, "qudit", [True], [1.0]))
+        if broken == "no trials":
+            payload = {}
+        else:
+            payload["trials"][0]["bogus"] = 1
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="s.json"):
+            load_summary(path)
+        assert cli(["report", str(path)]) == 2
+        assert "s.json" in capsys.readouterr().err
 
     def test_unknown_flag_is_usage_error(self):
         assert cli(["solve", "--rep", "qudit", "--cities", "4", "--bogus"]) == 1

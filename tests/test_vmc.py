@@ -20,7 +20,6 @@ from qtsp.vmc import (
     estimate_energy,
     estimate_gradient,
     local_energies,
-    local_energy,
     train,
 )
 
@@ -37,16 +36,6 @@ def all_tours(n):
 
 
 class TestLocalEnergy:
-    def test_qudit_example(self):
-        assert local_energy(linear_instance(4), [1, 3, 2, 4]) == 8.0
-
-    def test_qubit_example(self):
-        assert local_energy(linear_instance(4), [1, 2, 3, 4]) == 6.0
-
-    def test_invalid_config_is_an_error(self):
-        with pytest.raises(InvalidTourError):
-            local_energy(linear_instance(4), [1, 1, 2, 3])
-
     def test_batched_guard(self):
         with pytest.raises(InvalidTourError):
             local_energies(linear_instance(3), np.array([[1, 2, 3], [1, 1, 2]]))
