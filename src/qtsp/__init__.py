@@ -14,7 +14,6 @@ from .encoding import (
     exact_ground_valid_subspace,
     is_valid_tour,
     ising_energy,
-    onehot_to_tour,
     qubo_objective,
     qudit_diagonal_energy,
     ring_hamiltonian_element,
@@ -39,10 +38,8 @@ from .nqs import (
     cnn_grad_log_psi,
     cnn_log_psi,
     init_params,
-    load_params,
     rbm_grad_log_psi,
     rbm_log_psi,
-    save_params,
 )
 from .sampler import ChainState, Sample, SamplerConfig, init_chains, mh_step, run_chains
 from .vmc import (
@@ -51,7 +48,6 @@ from .vmc import (
     StepStats,
     VmcConfig,
     adam_update,
-    estimate_energy,
     estimate_gradient,
     train,
 )

@@ -184,9 +184,12 @@ def _resolve_target(args, instance: Instance) -> float | None:
             raise QtspError("cannot derive --target auto for this instance; pass a number")
         return target
     try:
-        return float(args.target)
+        target = float(args.target)
     except ValueError as exc:
         raise _UsageError(f"--target must be a number or 'auto', got {args.target!r}") from exc
+    if not np.isfinite(target):
+        raise _UsageError(f"--target must be finite, got {args.target!r}")
+    return target
 
 
 def _cmd_solve(args) -> int:
@@ -219,11 +222,8 @@ def _cmd_sweep(args) -> int:
         instance, args.rep, None, args.trials, seed,
         max_steps=args.steps, prune_wall_clock_s=args.time_limit,
     )
-    if args.out == "-":
-        from dataclasses import asdict
-        print(json.dumps(asdict(summary), indent=2))
-    else:
-        harness.save_summary(summary, args.out)
+    _write_text(args.out, harness.summary_json(summary))
+    if args.out != "-":
         print(f"converged: {summary.percent_converged:.1f}% of {summary.n_trials} trials")
     return 0
 

@@ -57,16 +57,6 @@ def tour_to_onehot(order: TourLike) -> np.ndarray:
     return z
 
 
-def onehot_to_tour(z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z)
-    n = z.shape[0]
-    if z.shape != (n, n) or not np.isin(z, (0, 1)).all():
-        raise InvalidTourError("one-hot input must be a square 0/1 matrix")
-    if np.any(z.sum(axis=0) != 1) or np.any(z.sum(axis=1) != 1):
-        raise InvalidTourError("not a permutation matrix: row/column sums differ from 1")
-    return (np.argmax(z, axis=0) + 1).astype(np.int64)
-
-
 def tours_to_sigma(orders: np.ndarray) -> np.ndarray:
     """Map a (B, N) batch of tours to (B, N^2) spin vectors in {-1, +1}.
 

@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import statistics
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -215,18 +215,28 @@ def sweep(
     )
 
 
-def save_summary(summary: SweepSummary, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(asdict(summary), indent=2) + "\n")
+def summary_json(summary: SweepSummary) -> str:
+    """The sweep summary file format that load_summary reads."""
+    return json.dumps(asdict(summary), indent=2) + "\n"
+
+
+_JSON_TYPES = {"int": (int,), "float": (int, float), "float | None": (int, float, type(None)),
+               "bool": (bool,), "str": (str,), "dict": (dict,), "list[TrialResult]": (list,)}
 
 
 def load_summary(path: str | Path) -> SweepSummary:
-    """Inverse of save_summary. Raises ValueError naming the file when a
-    key is missing or unknown."""
-    payload = json.loads(Path(path).read_text())
+    """Inverse of summary_json. Raises ValueError naming the file on invalid JSON,
+    a missing or unknown key, or a value of a type its field rejects (a bool is no number)."""
     try:
+        payload = json.loads(Path(path).read_text())
         trials = [TrialResult(**t) for t in payload.pop("trials")]
-        return SweepSummary(trials=trials, **payload)
-    except (AttributeError, KeyError, TypeError) as exc:
+        summary = SweepSummary(trials=trials, **payload)
+        for record in (summary, *trials):
+            for f in fields(record):
+                if type(getattr(record, f.name)) not in _JSON_TYPES[f.type]:
+                    raise TypeError(f"{f.name} = {getattr(record, f.name)!r}")
+        return summary
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed sweep summary ({exc})") from None
 
 

@@ -106,15 +106,6 @@ def tour_lengths(instance: Instance, orders: np.ndarray) -> np.ndarray:
     return instance.dist[orders - 1, nxt - 1].sum(axis=1)
 
 
-def rotate_tour(order: TourLike, k: int) -> np.ndarray:
-    """Cyclic shift: (n_1,...,n_N) -> (n_{k+1},...,n_N,n_1,...,n_k)."""
-    return np.roll(np.asarray(order, dtype=np.int64), -k)
-
-
-def reverse_tour(order: TourLike) -> np.ndarray:
-    return np.asarray(order, dtype=np.int64)[::-1].copy()
-
-
 def brute_force_optimum(instance: Instance) -> tuple[np.ndarray, float]:
     """Globally shortest tour by exhaustive search.
 

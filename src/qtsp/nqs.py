@@ -12,16 +12,13 @@ Derivatives are taken with respect to the real and imaginary parts of every
 parameter as independent real degrees of freedom. The fields of the
 parameter dataclasses below, in order, define the "flat" layout the
 optimizer uses: each block raveled, its real part then its imaginary part.
-The same block order, one complex value per entry, is the checkpoint format.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
@@ -40,19 +37,6 @@ def _join(cls, blocks: dict, lead: tuple[int, ...] = ()) -> np.ndarray:
     )
 
 
-def _split(cls, shape: tuple[int, ...], row: np.ndarray, n_parts: int) -> dict:
-    """Inverse of _join for one row: {field: [part, ...]}, n_parts parts per
-    block, each in the block's shape."""
-    shapes = cls.block_shapes(*shape)
-    sizes = [n_parts * math.prod(shapes[f.name]) for f in fields(cls)]
-    if row.shape != (sum(sizes),):
-        raise ValueError(f"expected {sum(sizes)} values for {cls.kind} shape {tuple(shape)}, "
-                         f"got shape {row.shape}")
-    chunks = np.split(row, np.cumsum(sizes)[:-1])
-    return {f.name: [part.reshape(shapes[f.name]) for part in np.split(chunk, n_parts)]
-            for f, chunk in zip(fields(cls), chunks)}
-
-
 def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """re + i im without arithmetic, so signed zeros and infinities survive."""
     z = np.empty(np.shape(re), dtype=np.complex128)
@@ -62,8 +46,8 @@ def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 
 class _FlatLayout:
     """The flat real vector of a parameter container, laid out by its
-    fields, and its shape: the values of shape_keys, which from_flat,
-    block_shapes and the checkpoint header take in that order."""
+    fields, and its shape: the values of shape_keys, which from_flat and
+    block_shapes take in that order."""
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -78,8 +62,15 @@ class _FlatLayout:
 
     @classmethod
     def from_flat(cls, flat: np.ndarray, *shape: int):
-        parts = _split(cls, shape, np.asarray(flat, dtype=float), 2)
-        return cls(**{name: _complex(re, im) for name, (re, im) in parts.items()})
+        flat = np.asarray(flat, dtype=float)
+        shapes = cls.block_shapes(*shape)
+        sizes = [2 * math.prod(shapes[f.name]) for f in fields(cls)]
+        if flat.shape != (sum(sizes),):
+            raise ValueError(f"expected {sum(sizes)} values for {cls.kind} shape {tuple(shape)}, "
+                             f"got shape {flat.shape}")
+        blocks = np.split(flat, np.cumsum(sizes)[:-1])
+        return cls(**{f.name: _complex(*np.split(block, 2)).reshape(shapes[f.name])
+                      for f, block in zip(fields(cls), blocks)})
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,22 +194,10 @@ def rbm_log_psi(params: RbmParams, sigma: np.ndarray) -> complex | np.ndarray:
     return complex(value[0]) if single else value
 
 
-def rbm_grad_log_psi(params: RbmParams, sigma: np.ndarray) -> LogPsiGrad:
-    """d log psi / d theta: sigma_j for a_j, tanh(theta_l) for b_l and
-    sigma_j tanh(theta_l) for W_lj. The derivatives with respect to the
-    (Re, Im) components of each are (g, i*g), since the amplitude is
-    holomorphic in the parameters."""
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.shape != (params.n_visible,):
-        raise ValueError(f"expected {params.n_visible} spins, got {sigma.shape}")
-    theta = params.w @ sigma + params.b
-    t = np.tanh(theta)
-    g = {"a": sigma.astype(np.complex128), "b": t, "w": np.outer(t, sigma)}
-    return LogPsiGrad(_join(RbmParams, {name: (v, 1j * v) for name, v in g.items()}))
-
-
 def rbm_log_derivatives(params: RbmParams, sigmas: np.ndarray) -> np.ndarray:
-    """(B, 2P) matrix of d log psi / d theta_k over the flat real layout."""
+    """(B, 2P) matrix of d log psi / d theta_k over the flat real layout:
+    sigma_j for a_j, tanh(theta_l) for b_l and sigma_j tanh(theta_l) for W_lj,
+    each as (g, i*g) for its (Re, Im) parts, since the amplitude is holomorphic."""
     sigmas = np.asarray(sigmas, dtype=float)
     if sigmas.ndim != 2 or sigmas.shape[1] != params.n_visible:
         raise ValueError(f"expected (B, {params.n_visible}) spin batch, got {sigmas.shape}")
@@ -226,6 +205,14 @@ def rbm_log_derivatives(params: RbmParams, sigmas: np.ndarray) -> np.ndarray:
     t = np.tanh(theta)                                   # (B, H)
     g = {"a": sigmas.astype(np.complex128), "b": t, "w": t[:, :, None] * sigmas[:, None, :]}
     return _join(RbmParams, {name: (v, 1j * v) for name, v in g.items()}, lead=sigmas.shape[:1])
+
+
+def rbm_grad_log_psi(params: RbmParams, sigma: np.ndarray) -> LogPsiGrad:
+    """Exact single-configuration gradient of log psi."""
+    sigma = np.asarray(sigma, dtype=float)
+    if sigma.shape != (params.n_visible,):
+        raise ValueError(f"expected {params.n_visible} spins, got {sigma.shape}")
+    return LogPsiGrad(rbm_log_derivatives(params, sigma[None, :])[0])
 
 
 def _centred_weights(energies: np.ndarray, batch: int) -> np.ndarray:
@@ -386,7 +373,7 @@ def cnn_grad_log_psi(params: CnnParams, config: np.ndarray) -> LogPsiGrad:
 
 
 # ---------------------------------------------------------------------------
-# initialization and checkpoints
+# initialization
 # ---------------------------------------------------------------------------
 
 def init_params(kind: str, shape: tuple[int, int], scale: float, seed: int) -> NetworkParams:
@@ -405,33 +392,3 @@ def init_params(kind: str, shape: tuple[int, int], scale: float, seed: int) -> N
     return cls(**{f.name: scale * (rng.standard_normal(shapes[f.name])
                                    + 1j * rng.standard_normal(shapes[f.name]))
                   for f in fields(cls)})
-
-
-def save_params(params: NetworkParams, path: str | Path) -> None:
-    """Checkpoint as JSON: the kind, the shape keys and one (real, imag)
-    pair per complex entry, blocks in field order; round-trips bit-exactly."""
-    values = _join(type(params), {name: (v,) for name, v in vars(params).items()})
-    payload = {"kind": params.kind, **dict(zip(params.shape_keys, params.shape)),
-               "data": [[v.real, v.imag] for v in values]}
-    Path(path).write_text(json.dumps(payload) + "\n")
-
-
-def load_params(path: str | Path) -> NetworkParams:
-    """Inverse of save_params. Raises ValueError naming the file when the
-    kind, a shape key or the number of entries does not match."""
-    payload = json.loads(Path(path).read_text())
-    cls = _KINDS.get(payload.get("kind")) if isinstance(payload, dict) else None
-    if cls is None:
-        raise ValueError(f"{path}: checkpoint kind must be one of {sorted(_KINDS)}")
-    shape = tuple(payload.get(key) for key in cls.shape_keys)
-    if not all(isinstance(n, int) and n >= 1 for n in shape):
-        raise ValueError(f"{path}: {cls.kind} checkpoint needs positive integers "
-                         f"{cls.shape_keys}, got {shape}")
-    try:
-        data = np.array(payload.get("data"), dtype=float)
-        if data.ndim != 2 or data.shape[1] != 2:
-            raise ValueError("data must be a list of (real, imag) pairs")
-        parts = _split(cls, shape, _complex(data[:, 0], data[:, 1]), 1)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    return cls(**{name: value for name, (value,) in parts.items()})

@@ -63,7 +63,6 @@ class Sample:
     """Recorded configurations of one sampling pass, merged by chain index."""
 
     configs: np.ndarray   # (S, N) int
-    log_psi: np.ndarray   # (S,) complex
     acceptance_rate: float
     n_proposed: int
     n_accepted: int
@@ -179,7 +178,6 @@ def run_chains(chains: list[ChainState], log_psi: LogPsiFn, cfg: SamplerConfig) 
     current = np.array(log_psi(tours), dtype=np.complex128)
     accepted = np.zeros(n_chains, dtype=np.int64)
     configs = np.empty((cfg.sample_size, n), dtype=tours.dtype)
-    psi = np.empty(cfg.sample_size, dtype=np.complex128)
     for step in range(totals[-1]):
         live = slice(0 if step < totals[0] else n_chains - 1, None)  # the last runs longest
         proposals = tours.reshape(-1)[flat_order[live, step]]
@@ -189,14 +187,12 @@ def run_chains(chains: list[ChainState], log_psi: LogPsiFn, cfg: SamplerConfig) 
         np.copyto(current[live], values, where=ok)
         accepted[live] += ok
         if step >= warmup:
-            rows = first_row[live] + (step - warmup)
-            configs[rows] = tours[live]
-            psi[rows] = current[live]
+            configs[first_row[live] + (step - warmup)] = tours[live]
 
     for chain, tour, value, total, n_acc in zip(chains, tours, current, totals, accepted):
         chain.current, chain.log_psi_current = tour, complex(value)
         chain.n_proposed += int(total)
         chain.n_accepted += int(n_acc)
     n_proposed, n_accepted = int(totals.sum()), int(accepted.sum())
-    return Sample(configs=configs, log_psi=psi, acceptance_rate=n_accepted / n_proposed,
+    return Sample(configs=configs, acceptance_rate=n_accepted / n_proposed,
                   n_proposed=n_proposed, n_accepted=n_accepted)

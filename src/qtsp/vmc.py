@@ -21,7 +21,7 @@ from . import nqs
 from .encoding import tours_to_sigma
 from .errors import InvalidTourError
 from .instance import Instance, tour_lengths
-from .sampler import Sample, SamplerConfig, init_chains, run_chains
+from .sampler import SamplerConfig, init_chains, run_chains
 
 IMPROVEMENT_TOL = 1e-12
 TARGET_TOL = 1e-9
@@ -82,9 +82,6 @@ class StepStats:
 
 @dataclass(frozen=True)
 class RunRecord:
-    representation: str
-    n_cities: int
-    config: dict
     target_energy: float | None
     steps: list[StepStats]
     termination_reason: str
@@ -173,15 +170,6 @@ def local_energies(instance: Instance, configs: np.ndarray) -> np.ndarray:
     if not np.array_equal(np.sort(configs, axis=1), np.broadcast_to(expected, configs.shape)):
         raise InvalidTourError("invalid configuration reached the energy estimator")
     return tour_lengths(instance, configs)
-
-
-def estimate_energy(sample: Sample, instance: Instance) -> tuple[float, float]:
-    """Mean and sample standard deviation (n-1 divisor) of the local
-    energies over the recorded configurations."""
-    if sample.configs.shape[0] < 2:
-        raise ValueError("energy estimation needs at least two recorded configurations")
-    energies = local_energies(instance, sample.configs)
-    return float(energies.mean()), float(energies.std(ddof=1))
 
 
 def estimate_gradient(
@@ -322,9 +310,6 @@ def train(
 
     total = time.perf_counter() - t0
     record = RunRecord(
-        representation=cfg.representation,
-        n_cities=instance.n_cities,
-        config=asdict(cfg),
         target_energy=target_energy,
         steps=steps,
         termination_reason=reason,

