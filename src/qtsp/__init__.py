@@ -29,7 +29,6 @@ from .instance import (
     linear_instance,
     load_instance,
     planted_optimum,
-    save_instance,
     tour_length,
 )
 from .nqs import (

@@ -169,8 +169,9 @@ def dense_hamiltonian(instance: Instance, variant: str, pen: PenaltyConfig) -> n
     """Full N^N x N^N matrix over the lexicographic product basis.
 
     variant "eq2": tour length / p on the diagonal, p on every off-diagonal.
-    variant "eq4": built from the ring of two-site couplers; only the
-    diagonal and single-site differences are nonzero.
+    variant "eq4": the sum over ring bonds (k, k+1) of the two-site coupler
+    D^(k,k+1); nonzero on the diagonal, on single-site changes and on
+    changes of both sites of one bond.
     """
     n = instance.n_cities
     if n > DENSE_MAX_CITIES:
@@ -179,46 +180,29 @@ def dense_hamiltonian(instance: Instance, variant: str, pen: PenaltyConfig) -> n
         raise ValueError(f"unknown variant {variant!r}; expected 'eq2' or 'eq4'")
     basis = _enumerate_basis(n)
     dim = basis.shape[0]
-    lengths = tour_lengths(instance, basis)
-    valid = np.array([is_valid_tour(c) for c in basis])
 
     if variant == "eq2":
+        lengths = tour_lengths(instance, basis)
+        valid = np.array([is_valid_tour(c) for c in basis])
         h = np.full((dim, dim), pen.p)
         np.fill_diagonal(h, np.where(valid, lengths, pen.p))
         return h
 
+    # coupler[i-1, j-1, l-1, m-1] = <i,j| D |l,m>
+    labels = itertools.product(range(1, n + 1), repeat=4)
+    coupler = np.array([twobody_element(instance, *ijlm, pen) for ijlm in labels])
+    coupler = coupler.reshape((n,) * 4)
+    cfg, level = basis - 1, np.arange(n)
+    strides = n ** level[::-1]
+    rows = np.arange(dim)
     h = np.zeros((dim, dim))
-    # ring diagonal carries the cyclic distance sum for every configuration
-    np.fill_diagonal(h, lengths)
-    # off-diagonal support: configurations differing on a single site or on
-    # both sites of one ring bond; everything else hits a vanishing
-    # identity delta on some bond-external differing site
-    strides = n ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    levels = range(1, n + 1)
-    for row in range(dim):
-        cfg = basis[row]
-        for site in range(n):
-            for v in levels:
-                if v == cfg[site]:
-                    continue
-                col = row + (v - cfg[site]) * strides[site]
-                other = cfg.copy()
-                other[site] = v
-                h[row, col] = ring_hamiltonian_element(instance, cfg, other, pen)
-        for k in range(n):
-            k1 = (k + 1) % n
-            if k1 == k:
-                continue
-            for v1 in levels:
-                if v1 == cfg[k]:
-                    continue
-                for v2 in levels:
-                    if v2 == cfg[k1]:
-                        continue
-                    col = row + (v1 - cfg[k]) * strides[k] + (v2 - cfg[k1]) * strides[k1]
-                    other = cfg.copy()
-                    other[k], other[k1] = v1, v2
-                    h[row, col] = ring_hamiltonian_element(instance, cfg, other, pen)
+    # bonds in order k = 0..N-1, as the elementwise sum adds them; bond k
+    # reaches the N^2 configurations that agree with the row off sites k, k+1
+    for k in range(n):
+        k1 = (k + 1) % n
+        corner = rows - cfg[:, k] * strides[k] - cfg[:, k1] * strides[k1]
+        cols = corner[:, None, None] + strides[k] * level[:, None] + strides[k1] * level
+        h[rows[:, None, None], cols] += coupler[cfg[:, k], cfg[:, k1]]
     return h
 
 

@@ -172,23 +172,20 @@ def instance_json(instance: Instance) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def save_instance(instance: Instance, path: str | Path) -> None:
-    Path(path).write_text(instance_json(instance))
-
-
 def load_instance(path: str | Path) -> Instance:
-    """Read an instance from JSON, validating shape, symmetry and diagonal."""
-    payload = json.loads(Path(path).read_text())
+    """Read an instance from JSON, validating shape, symmetry and diagonal.
+    Raises InvalidInstanceError naming the file on any malformed content."""
     try:
-        n = int(payload["n_cities"])
+        payload = json.loads(Path(path).read_text())
+        n = payload["n_cities"]
+        if type(n) is not int:  # a bool is no city count, and 2.7 is not 2
+            raise TypeError(f"n_cities must be an integer, got {n!r}")
         dist = np.asarray(payload["dist"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+        if dist.shape != (n, n):
+            raise ValueError(f"dist shape {dist.shape} does not match n_cities={n}")
+        coords = payload.get("coords")
+        if coords is not None:
+            coords = np.asarray(coords, dtype=float)
+        return Instance(dist=dist, coords=coords)
+    except (InvalidInstanceError, KeyError, TypeError, ValueError) as exc:
         raise InvalidInstanceError(f"malformed instance file {path}: {exc}") from exc
-    if dist.shape != (n, n):
-        raise InvalidInstanceError(
-            f"dist shape {dist.shape} does not match n_cities={n} in {path}"
-        )
-    coords = payload.get("coords")
-    return Instance(dist=dist, coords=None if coords is None else np.asarray(coords, dtype=float))
-
-

@@ -114,15 +114,14 @@ def _accept(current, new, u):
         return np.real(new) - np.real(current) >= 0.5 * np.log1p(-u)
 
 
-def init_chains(
-    instance: Instance, cfg: SamplerConfig, log_psi: LogPsiFn | None = None
-) -> list[ChainState]:
+def init_chains(instance: Instance, cfg: SamplerConfig) -> list[ChainState]:
     """Start each chain on a greedy farthest-city tour.
 
     With fix_first the start city is 1 for every chain (and position 1 is
     frozen by the proposal rule); otherwise each chain draws its own start
     city from its RNG stream. Streams are the numbered children of
-    SeedSequence(cfg.seed), one per chain index.
+    SeedSequence(cfg.seed), one per chain index. The cached log psi starts
+    at 0; run_chains refreshes it at the start of each pass.
     """
     n = instance.n_cities
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.n_chains)
@@ -132,10 +131,6 @@ def init_chains(
         start = 1 if cfg.fix_first else int(rng.integers(1, n + 1))
         tour = farthest_city_tour(instance, start)
         chains.append(ChainState(current=tour, log_psi_current=0.0, rng=rng))
-    if log_psi is not None:
-        values = np.asarray(log_psi(np.stack([c.current for c in chains])))
-        for chain, value in zip(chains, values):
-            chain.log_psi_current = complex(value)
     return chains
 
 

@@ -52,10 +52,14 @@ class VmcConfig:
             raise ValueError(f"unknown representation {self.representation!r}")
         if self.sampler.sample_size < 2:
             raise ValueError("sample_size must be at least 2: the gradient is a covariance")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be non-negative")
+        if not 0 <= self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.max_steps < 1:
             raise ValueError("max_steps must be positive")
+        if self.prune_no_improve_steps < 1:
+            raise ValueError("prune_no_improve_steps must be positive")
+        if not self.prune_wall_clock_s >= 0:  # NaN fails every comparison
+            raise ValueError(f"prune_wall_clock_s must be >= 0, got {self.prune_wall_clock_s}")
 
 
 @dataclass(frozen=True)

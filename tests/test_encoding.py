@@ -177,18 +177,17 @@ class TestRingElement:
 
 class TestDenseHamiltonian:
     def test_eq2_two_city_hand_matrix(self):
-        pen = PenaltyConfig(p=100.0, p_prime=100.0)
-        h = dense_hamiltonian(linear_instance(2), "eq2", pen)
-        # basis (1,1), (1,2), (2,1), (2,2)
+        # basis (1,1), (1,2), (2,1), (2,2); eq2 reads p and never p'
         expected = np.full((4, 4), 100.0)
         expected[1, 1] = expected[2, 2] = 2.0
-        assert np.array_equal(h, expected)
+        for pen in (PenaltyConfig(p=100.0, p_prime=100.0), PenaltyConfig(p=100.0, p_prime=7.0)):
+            assert np.array_equal(dense_hamiltonian(linear_instance(2), "eq2", pen), expected)
 
     def test_eq4_two_city_single_site(self):
-        pen = PenaltyConfig(p=100.0, p_prime=100.0)
-        h = dense_hamiltonian(linear_instance(2), "eq4", pen)
-        # N=2 is the special ring where both bonds touch every site
-        assert h[0, 2] == 2 * pen.p_prime  # (1,1) -> (2,1)
+        for pen in (PenaltyConfig(p=100.0, p_prime=100.0), PenaltyConfig(p=100.0, p_prime=7.0)):
+            h = dense_hamiltonian(linear_instance(2), "eq4", pen)
+            # N=2 is the special ring where both bonds touch every site
+            assert h[0, 2] == 2 * pen.p_prime  # (1,1) -> (2,1)
 
     def test_symmetric_both_variants(self):
         inst = random_symmetric_instance(3, 7)
@@ -208,15 +207,16 @@ class TestDenseHamiltonian:
                     assert h[idx, idx] == pytest.approx(tour_length(inst, cfg), abs=1e-12)
 
     def test_eq4_matches_elementwise_oracle(self):
-        # every entry against the direct bond-sum evaluation
-        inst = random_symmetric_instance(3, 13)
-        pen = default_penalties(inst)
-        h = dense_hamiltonian(inst, "eq4", pen)
-        basis = _enumerate_basis(3)
-        full = np.array(
-            [[ring_hamiltonian_element(inst, a, b, pen) for b in basis] for a in basis]
-        )
-        assert np.array_equal(h, full)
+        # every entry against the direct bond-sum evaluation, with p = p' and p != p'
+        small, large = random_symmetric_instance(3, 13), random_symmetric_instance(4, 13)
+        for inst, pen in ((small, default_penalties(small)),
+                          (large, PenaltyConfig(p=100.0, p_prime=7.0))):
+            h = dense_hamiltonian(inst, "eq4", pen)
+            basis = _enumerate_basis(inst.n_cities)
+            full = np.array(
+                [[ring_hamiltonian_element(inst, a, b, pen) for b in basis] for a in basis]
+            )
+            assert np.array_equal(h, full)
 
     def test_size_guard(self):
         with pytest.raises(SizeLimitError):

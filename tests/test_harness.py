@@ -21,7 +21,7 @@ from qtsp.harness import (
     summary_json,
     sweep,
 )
-from qtsp.instance import brute_force_optimum, linear_instance, planted_optimum, save_instance
+from qtsp.instance import brute_force_optimum, instance_json, linear_instance, planted_optimum
 from qtsp.vmc import train
 
 
@@ -246,6 +246,16 @@ class TestCli:
                     "--sample-size", "1", "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--lr", "nan"), ("--lr", "inf"), ("--time-limit", "nan"), ("--time-limit", "-1"),
+        ("--no-improve-steps", "0"),
+    ])
+    def test_meaningless_budget_is_rejected_before_any_output(self, tmp_path, flag, value):
+        out = tmp_path / "r.jsonl"
+        assert cli(["solve", "--rep", "qudit", "--cities", "5", flag, value,
+                    "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_solve_qubit_rbm(self, capsys):
         assert cli(["solve", "--rep", "qubit", "--net", "rbm", "--cities", "4",
                     "--seed", "1", "--target", "auto", "--steps", "3000"]) == 0
@@ -324,7 +334,7 @@ class TestCli:
 
     def test_both_instance_sources_is_usage_error(self, tmp_path):
         path = tmp_path / "i.json"
-        save_instance(linear_instance(3), path)
+        path.write_text(instance_json(linear_instance(3)))
         assert cli(["exact", "--cities", "3", "--instance", str(path)]) == 1
 
     def test_net_mismatch_is_usage_error(self):
@@ -339,7 +349,7 @@ class TestCli:
     def test_target_auto_without_derivable_target_is_runtime_error(self, tmp_path):
         inst = random_symmetric_instance(11, 0)
         path = tmp_path / "big.json"
-        save_instance(inst, path)
+        path.write_text(instance_json(inst))
         assert cli(["solve", "--rep", "qudit", "--instance", str(path),
                     "--steps", "1", "--target", "auto"]) == 2
 

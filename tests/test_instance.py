@@ -7,10 +7,10 @@ from qtsp.instance import (
     Instance,
     brute_force_optimum,
     farthest_city_tour,
+    instance_json,
     linear_instance,
     load_instance,
     planted_optimum,
-    save_instance,
     tour_length,
 )
 
@@ -170,7 +170,7 @@ class TestInstanceJson:
     def test_round_trip(self, tmp_path):
         inst = random_symmetric_instance(5, 9)
         path = tmp_path / "inst.json"
-        save_instance(inst, path)
+        path.write_text(instance_json(inst))
         loaded = load_instance(path)
         assert np.array_equal(loaded.dist, inst.dist)
         assert loaded.coords is None
@@ -178,18 +178,32 @@ class TestInstanceJson:
     def test_round_trip_with_coords(self, tmp_path):
         inst = linear_instance(4)
         path = tmp_path / "lin.json"
-        save_instance(inst, path)
+        path.write_text(instance_json(inst))
         loaded = load_instance(path)
         assert np.array_equal(loaded.coords, inst.coords)
 
     def test_rejects_shape_mismatch(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"n_cities": 3, "coords": null, "dist": [[0, 1], [1, 0]]}')
-        with pytest.raises(InvalidInstanceError):
+        with pytest.raises(InvalidInstanceError, match="bad.json"):
+            load_instance(path)
+
+    @pytest.mark.parametrize("text", [
+        "not json",
+        '{"n_cities": 2, "coords": "abc", "dist": [[0, 1], [1, 0]]}',
+        '{"n_cities": 2.7, "coords": null, "dist": [[0, 1], [1, 0]]}',
+        '{"n_cities": true, "coords": null, "dist": [[0]]}',
+        '{"coords": null, "dist": [[0, 1], [1, 0]]}',
+        '[]',
+    ], ids=["not-json", "coords-string", "fractional-n", "bool-n", "no-n", "list"])
+    def test_malformed_file_is_named(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(InvalidInstanceError, match="bad.json"):
             load_instance(path)
 
     def test_rejects_asymmetric_file(self, tmp_path):
         path = tmp_path / "asym.json"
         path.write_text('{"n_cities": 2, "coords": null, "dist": [[0, 1], [2, 0]]}')
-        with pytest.raises(InvalidInstanceError):
+        with pytest.raises(InvalidInstanceError, match="asym.json"):
             load_instance(path)

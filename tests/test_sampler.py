@@ -76,11 +76,6 @@ class TestInitChains:
         starts = {int(c.current[0]) for c in chains}
         assert len(starts) > 1
 
-    def test_evaluator_seeds_cached_amplitude(self):
-        fn = lambda t: np.full(len(t), 0.5 + 0.25j)
-        chains = init_chains(linear_instance(4), make_cfg(), log_psi=fn)
-        assert all(c.log_psi_current == 0.5 + 0.25j for c in chains)
-
 
 def proposals(chain, cfg, count):
     """(before, after) tours of `count` constant-amplitude mh_steps, each of
@@ -164,7 +159,7 @@ class TestProposalSymmetry:
 class TestMhStep:
     def test_zero_delta_always_accepts(self):
         cfg = make_cfg(n_chains=1, sample_size=1)
-        chain = init_chains(linear_instance(5), cfg, log_psi=constant_psi)[0]
+        chain = init_chains(linear_instance(5), cfg)[0]
         for _ in range(100):
             mh_step(chain, constant_psi, cfg)
         assert chain.n_accepted == chain.n_proposed == 100
@@ -172,7 +167,7 @@ class TestMhStep:
     def test_zero_amplitude_always_rejects(self):
         cfg = make_cfg(n_chains=1, sample_size=1)
         dead = lambda t: np.full(len(t), -math.inf)
-        chain = init_chains(linear_instance(5), cfg, log_psi=constant_psi)[0]
+        chain = init_chains(linear_instance(5), cfg)[0]
         start = chain.current.copy()
         for _ in range(50):
             mh_step(chain, dead, cfg)
@@ -183,7 +178,7 @@ class TestMhStep:
     def test_nan_amplitude_rejects(self):
         cfg = make_cfg(n_chains=1, sample_size=1)
         broken = lambda t: np.full(len(t), math.nan)
-        chain = init_chains(linear_instance(4), cfg, log_psi=constant_psi)[0]
+        chain = init_chains(linear_instance(4), cfg)[0]
         mh_step(chain, broken, cfg)
         assert chain.n_accepted == 0
         assert_run_chains_rejects_all(math.nan)
@@ -354,7 +349,7 @@ class TestKernelProperties:
     def test_run_chains_records_valid_tours(self, case):
         n, cfg = case
         f = linear_psi(n)
-        sample = run_chains(init_chains(linear_instance(n), cfg, f), f, cfg)
+        sample = run_chains(init_chains(linear_instance(n), cfg), f, cfg)
         assert sample.configs.shape == (cfg.sample_size, n)
         assert np.array_equal(np.sort(sample.configs, axis=1),
                               np.broadcast_to(np.arange(1, n + 1), sample.configs.shape))
