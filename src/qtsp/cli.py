@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: gen (write a linear instance), solve (one training run),
-exact (brute-force optimum), diag (dense-matrix ground state at tiny N),
+exact (brute-force optimum), diag (lowest eigenvalue of the dense matrix
+at tiny N; not a tour length, see the README),
 sweep (random hyperparameter search) and report (CSV convergence table).
 Exit codes: 0 success, 1 usage error, 2 runtime error.
 """
@@ -9,6 +10,7 @@ Exit codes: 0 success, 1 usage error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -69,7 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--chains", type=int, default=None)
     p_solve.add_argument("--swaps", type=int, default=None)
     p_solve.add_argument("--max-swap-len", type=int, default=None)
-    p_solve.add_argument("--sample-size", type=int, default=None)
+    p_solve.add_argument("--sample-size", type=int, default=None,
+                         help="configurations per step, a multiple of --chains")
     p_solve.add_argument("--hidden", type=int, default=None, help="hidden units (qubit)")
     p_solve.add_argument("--channels", type=int, default=None, help="channels (qudit)")
     p_solve.add_argument("--kernel", type=int, default=None, help="kernel size (qudit)")
@@ -86,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exact = sub.add_parser("exact", help="brute-force optimum (N <= 12)")
     _add_instance_flags(p_exact)
 
-    p_diag = sub.add_parser("diag", help="dense-matrix ground state (N <= 5)")
+    p_diag = sub.add_parser("diag", help="lowest eigenvalue of the dense matrix (N <= 5)")
     _add_instance_flags(p_diag)
     p_diag.add_argument("--variant", choices=("eq2", "eq4"), default="eq2")
     p_diag.add_argument("--p", type=float, default=None,
@@ -197,14 +200,15 @@ def _cmd_solve(args) -> int:
     cfg = _solve_config(args, instance)
     target = _resolve_target(args, instance)
 
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            def sink(line: dict) -> None:
-                fh.write(json.dumps(line) + "\n")
-                fh.flush()
-            record = train(instance, cfg, target_energy=target, sink=sink)
-    else:
-        record = train(instance, cfg, target_energy=target)
+    with contextlib.ExitStack() as stack:
+        out = []  # opened at train's header line, once its set-up checks have passed
+        def sink(line: dict) -> None:
+            if not out:
+                out.append(stack.enter_context(open(args.out, "w", encoding="utf-8")))
+            out[0].write(json.dumps(line) + "\n")
+            out[0].flush()
+        record = train(instance, cfg, target_energy=target,
+                       sink=None if args.out is None else sink)
 
     print(f"reason: {record.termination_reason}")
     print(f"steps: {record.n_steps}")

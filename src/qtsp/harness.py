@@ -89,26 +89,15 @@ def make_vmc_config(
     fix_first: bool = True,
     **budgets,
 ) -> VmcConfig:
-    """A run configuration from sampled hyperparameters. `budgets` are
-    VmcConfig's max_steps, prune_no_improve_steps and prune_wall_clock_s;
-    the ones not given keep VmcConfig's defaults."""
-    sampler = SamplerConfig(
-        n_chains=int(hyperparams["n_chains"]),
-        n_swaps=int(hyperparams["n_swaps"]),
-        max_swap_len=int(hyperparams["max_swap_len"]),
-        fix_first=fix_first,
-        sample_size=int(hyperparams["sample_size"]),
-        seed=seed,
-    )
-    return VmcConfig(
-        representation=representation,
-        sampler=sampler,
-        n_hidden=int(hyperparams.get("n_hidden", 0)),
-        n_channels=int(hyperparams.get("n_channels", 0)),
-        kernel_size=int(hyperparams.get("kernel_size", 0)),
-        learning_rate=float(hyperparams["learning_rate"]),
-        **budgets,
-    )
+    """A run configuration from sampled hyperparameters, each passed to
+    SamplerConfig or VmcConfig by its field name. `budgets` are VmcConfig's
+    max_steps, prune_no_improve_steps and prune_wall_clock_s; the ones not
+    given keep VmcConfig's defaults."""
+    sampler_keys = {f.name for f in fields(SamplerConfig)}
+    sampler = SamplerConfig(fix_first=fix_first, seed=seed,
+                            **{k: v for k, v in hyperparams.items() if k in sampler_keys})
+    return VmcConfig(representation=representation, sampler=sampler, **budgets,
+                     **{k: v for k, v in hyperparams.items() if k not in sampler_keys})
 
 
 def midpoint_vmc_config(

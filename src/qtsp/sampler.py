@@ -40,8 +40,8 @@ class SamplerConfig:
             raise ValueError("n_swaps must be positive")
         if self.max_swap_len < 1:
             raise ValueError("max_swap_len must be at least 1")
-        if self.sample_size < self.n_chains:
-            raise ValueError("sample_size must be at least n_chains")
+        if self.sample_size < 1 or self.sample_size % self.n_chains:
+            raise ValueError("sample_size must be a positive multiple of n_chains")
         if self.n_warmup is not None and self.n_warmup < 0:
             raise ValueError("n_warmup must be non-negative")
 
@@ -150,44 +150,36 @@ def mh_step(state: ChainState, log_psi: LogPsiFn, cfg: SamplerConfig) -> ChainSt
 def run_chains(chains: list[ChainState], log_psi: LogPsiFn, cfg: SamplerConfig) -> Sample:
     """Advance all chains and record cfg.sample_size configurations.
 
-    Each chain discards a warm-up prefix and then records every step;
-    the first chains record sample_size // n_chains configurations and the
-    last chain absorbs the remainder. Cached amplitudes are refreshed at
+    Each chain discards a warm-up prefix and then records its next
+    sample_size // n_chains steps, chain-major: configs.reshape(n_chains,
+    -1, N)[c] is chain c's trajectory. Cached amplitudes are refreshed at
     the start so the pass is consistent with the current evaluator
     snapshot. The chains step as rows of one array, with one evaluator call
     per step, and their trajectories equal stepping each alone with mh_step.
     """
-    n_chains = len(chains)
-    n = chains[0].current.shape[0]
-    warmup = cfg.n_warmup if cfg.n_warmup is not None else 10 * n
-    counts = np.full(n_chains, cfg.sample_size // n_chains)
-    counts[-1] = cfg.sample_size - counts[0] * (n_chains - 1)
-    totals = warmup + counts
-    first_row = np.cumsum(counts) - counts  # each chain's first recorded row
-
-    u = np.zeros((n_chains, totals[-1], 2 * cfg.n_swaps + 1))
-    for chain, rows, total in zip(chains, u, totals):
-        chain.rng.random(out=rows[:total])
-    flat_order = _proposal_order(u, n, cfg) + n * np.arange(n_chains)[:, None, None]
     tours = np.stack([c.current for c in chains])
+    n_chains, n = tours.shape
+    warmup = cfg.n_warmup if cfg.n_warmup is not None else 10 * n
+    total = warmup + cfg.sample_size // n_chains
+    u = np.stack([c.rng.random((total, 2 * cfg.n_swaps + 1)) for c in chains])
+    flat_order = _proposal_order(u, n, cfg) + n * np.arange(n_chains)[:, None, None]
     current = np.array(log_psi(tours), dtype=np.complex128)
     accepted = np.zeros(n_chains, dtype=np.int64)
-    configs = np.empty((cfg.sample_size, n), dtype=tours.dtype)
-    for step in range(totals[-1]):
-        live = slice(0 if step < totals[0] else n_chains - 1, None)  # the last runs longest
-        proposals = tours.reshape(-1)[flat_order[live, step]]
+    configs = np.empty((n_chains, total - warmup, n), dtype=tours.dtype)
+    for step in range(total):
+        proposals = tours.reshape(-1)[flat_order[:, step]]
         values = np.asarray(log_psi(proposals))
-        ok = _accept(current[live], values, u[live, step, -1])
-        np.copyto(tours[live], proposals, where=ok[:, None])
-        np.copyto(current[live], values, where=ok)
-        accepted[live] += ok
+        ok = _accept(current, values, u[:, step, -1])
+        np.copyto(tours, proposals, where=ok[:, None])
+        np.copyto(current, values, where=ok)
+        accepted += ok
         if step >= warmup:
-            configs[first_row[live] + (step - warmup)] = tours[live]
+            configs[:, step - warmup] = tours
 
-    for chain, tour, value, total, n_acc in zip(chains, tours, current, totals, accepted):
+    for chain, tour, value, n_acc in zip(chains, tours, current, accepted):
         chain.current, chain.log_psi_current = tour, complex(value)
-        chain.n_proposed += int(total)
+        chain.n_proposed += total
         chain.n_accepted += int(n_acc)
-    n_proposed, n_accepted = int(totals.sum()), int(accepted.sum())
-    return Sample(configs=configs, acceptance_rate=n_accepted / n_proposed,
+    n_proposed, n_accepted = n_chains * total, int(accepted.sum())
+    return Sample(configs=configs.reshape(-1, n), acceptance_rate=n_accepted / n_proposed,
                   n_proposed=n_proposed, n_accepted=n_accepted)

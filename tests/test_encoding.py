@@ -285,3 +285,16 @@ def test_default_penalties_dominate_distances():
     pen = default_penalties(inst)
     assert pen.p > inst.dist.max()
     assert pen.p_prime > inst.dist.max()
+
+
+@pytest.mark.parametrize("inst", [
+    linear_instance(3), linear_instance(4),
+    random_symmetric_instance(4, 0), random_symmetric_instance(4, 1),
+], ids=["linear-3", "linear-4", "random-4-seed-0", "random-4-seed-1"])
+def test_eq2_ground_energy_is_optimum_minus_p(inst):
+    """The dense eq2 matrix is p everywhere off the diagonal, so the difference
+    of two optimal tours is an eigenvector with eigenvalue optimum - p: its
+    lowest eigenvalue is that, not the optimum itself."""
+    pen = default_penalties(inst)
+    lowest = np.linalg.eigvalsh(dense_hamiltonian(inst, "eq2", pen))[0]
+    assert lowest == pytest.approx(brute_force_optimum(inst)[1] - pen.p, abs=1e-9)

@@ -248,7 +248,8 @@ class TestCli:
 
     @pytest.mark.parametrize("flag,value", [
         ("--lr", "nan"), ("--lr", "inf"), ("--time-limit", "nan"), ("--time-limit", "-1"),
-        ("--no-improve-steps", "0"),
+        ("--no-improve-steps", "0"), ("--chains", "3"), ("--channels", "0"),
+        ("--kernel", "0"), ("--kernel", "99"), ("--seed", "-1"),
     ])
     def test_meaningless_budget_is_rejected_before_any_output(self, tmp_path, flag, value):
         out = tmp_path / "r.jsonl"

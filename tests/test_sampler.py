@@ -51,6 +51,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             make_cfg(n_chains=8, sample_size=4)
 
+    @pytest.mark.parametrize("n_chains, sample_size", [(8, 60), (3, 10)])
+    def test_rejects_sample_not_multiple_of_chains(self, n_chains, sample_size):
+        # every chain records the same number of rows
+        with pytest.raises(ValueError):
+            make_cfg(n_chains=n_chains, sample_size=sample_size)
+
     def test_rejects_negative_warmup(self):
         with pytest.raises(ValueError):
             make_cfg(n_warmup=-3)
@@ -204,12 +210,12 @@ def assert_run_chains_rejects_all(value):
     """run_chains never leaves the start tour when every proposal has log psi
     `value`: neither from a finite cached amplitude nor from one that is
     `value` itself."""
-    cfg = make_cfg(n_chains=3, sample_size=10, fix_first=True, n_warmup=5)
+    cfg = make_cfg(n_chains=3, sample_size=9, fix_first=True, n_warmup=5)
     start = init_chains(linear_instance(5), cfg)[0].current.copy()
     for log_psi in (amplitude_only_at(start, value), lambda t: np.full(len(t), value)):
         chains = init_chains(linear_instance(5), cfg)
         sample = run_chains(chains, log_psi, cfg)
-        assert sample.n_accepted == 0 and sample.n_proposed == 3 * 5 + 10
+        assert sample.n_accepted == 0 and sample.n_proposed == 3 * (5 + 3)
         assert (sample.configs == start).all()
         assert all(np.array_equal(c.current, start) for c in chains)
 
@@ -239,16 +245,6 @@ class TestRunChains:
         sample = run_chains(init_chains(linear_instance(4), cfg), constant_psi, cfg)
         assert sample.configs.shape == (64, 4)
 
-    def test_remainder_goes_to_last_chain(self):
-        cfg = make_cfg(n_chains=8, sample_size=60)
-        chains = init_chains(linear_instance(4), cfg)
-        sample = run_chains(chains, constant_psi, cfg)
-        assert sample.configs.shape[0] == 60
-        # 7 chains record 60 // 8 = 7 each, the last absorbs the remainder (11)
-        spread = [c.n_proposed for c in chains]
-        assert spread[:-1] == [spread[0]] * 7
-        assert spread[-1] - spread[0] == (60 - 7 * (60 // 8)) - (60 // 8)
-
     def test_all_recorded_configs_valid(self):
         cfg = make_cfg(n_chains=4, n_swaps=3, sample_size=200)
         sample = run_chains(init_chains(linear_instance(6), cfg), constant_psi, cfg)
@@ -272,8 +268,8 @@ class TestRunChains:
 
     @pytest.mark.parametrize("sample_size, n_swaps", [
         pytest.param(9, 2, id="even-split"),
-        pytest.param(10, 1, id="last-chain-longer-1-swap"),
-        pytest.param(10, 3, id="last-chain-longer-3-swaps"),
+        pytest.param(12, 1, id="four-per-chain-1-swap"),
+        pytest.param(12, 3, id="four-per-chain-3-swaps"),
     ])
     def test_batched_equals_sequential_stepping(self, sample_size, n_swaps):
         """run_chains steps the chains as one array; with a row-wise python
@@ -289,10 +285,9 @@ class TestRunChains:
         chains = init_chains(inst, cfg)
         values = f(np.stack([c.current for c in chains]))
         configs = []
-        for i, (chain, v) in enumerate(zip(chains, values)):
+        for chain, v in zip(chains, values):
             chain.log_psi_current = complex(v)
-            n_record = sample_size // 3 if i < 2 else sample_size - 2 * (sample_size // 3)
-            for step in range(5 + n_record):
+            for step in range(5 + sample_size // 3):
                 mh_step(chain, f, cfg)
                 if step >= 5:
                     configs.append(chain.current.copy())
@@ -338,7 +333,7 @@ def sampler_configs(draw):
     cfg = SamplerConfig(
         n_chains=n_chains, n_swaps=draw(st.integers(1, 5)),
         max_swap_len=draw(st.integers(1, n)), fix_first=draw(st.booleans()),
-        sample_size=draw(st.integers(n_chains, 4 * n_chains + 3)),
+        sample_size=n_chains * draw(st.integers(1, 4)),
         seed=draw(st.integers(0, 2**32 - 1)), n_warmup=draw(st.integers(0, 5)))
     return n, cfg
 
