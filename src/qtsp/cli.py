@@ -14,6 +14,7 @@ import contextlib
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ import numpy as np
 from . import __version__, encoding, harness, instance as inst
 from .errors import QtspError
 from .instance import Instance, linear_instance, load_instance
+from .sampler import SamplerConfig
 from .vmc import VmcConfig, train
 
 
@@ -66,22 +68,23 @@ def build_parser() -> argparse.ArgumentParser:
                          help="ansatz (defaults to the representation's native one)")
     p_solve.add_argument("--seed", type=int, default=None,
                          help="master seed (default: QTSP_SEED env var, else 0)")
-    p_solve.add_argument("--steps", type=int, default=2000, help="maximum MC steps")
-    p_solve.add_argument("--lr", type=float, default=None)
-    p_solve.add_argument("--chains", type=int, default=None)
-    p_solve.add_argument("--swaps", type=int, default=None)
-    p_solve.add_argument("--max-swap-len", type=int, default=None)
-    p_solve.add_argument("--sample-size", type=int, default=None,
+    # a flag that sets a run setting takes its field name as dest; None keeps the default
+    p_solve.add_argument("--steps", type=int, dest="max_steps", help="maximum MC steps")
+    p_solve.add_argument("--lr", type=float, dest="learning_rate")
+    p_solve.add_argument("--chains", type=int, dest="n_chains")
+    p_solve.add_argument("--swaps", type=int, dest="n_swaps")
+    p_solve.add_argument("--max-swap-len", type=int, dest="max_swap_len")
+    p_solve.add_argument("--sample-size", type=int, dest="sample_size",
                          help="configurations per step, a multiple of --chains")
-    p_solve.add_argument("--hidden", type=int, default=None, help="hidden units (qubit)")
-    p_solve.add_argument("--channels", type=int, default=None, help="channels (qudit)")
-    p_solve.add_argument("--kernel", type=int, default=None, help="kernel size (qudit)")
+    p_solve.add_argument("--hidden", type=int, dest="n_hidden", help="hidden units (qubit)")
+    p_solve.add_argument("--channels", type=int, dest="n_channels", help="channels (qudit)")
+    p_solve.add_argument("--kernel", type=int, dest="kernel_size", help="kernel size (qudit)")
     p_solve.add_argument("--target", type=str, default=None,
                          help="stop when this energy is reached; 'auto' derives it "
                               "(default: no target)")
-    p_solve.add_argument("--time-limit", type=float, default=600.0,
+    p_solve.add_argument("--time-limit", type=float, dest="prune_wall_clock_s",
                          help="wall-clock prune in seconds")
-    p_solve.add_argument("--no-improve-steps", type=int, default=300)
+    p_solve.add_argument("--no-improve-steps", type=int, dest="prune_no_improve_steps")
     p_solve.add_argument("--fix-first", action=argparse.BooleanOptionalAction, default=True,
                          help="pin city 1 to the first tour slot")
     p_solve.add_argument("--out", type=str, default=None, help="stream a JSONL run record here")
@@ -101,8 +104,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--rep", choices=("qubit", "qudit"), required=True)
     p_sweep.add_argument("--trials", type=int, default=20)
     p_sweep.add_argument("--seed", type=int, default=None)
-    p_sweep.add_argument("--steps", type=int, default=400, help="maximum MC steps per trial")
-    p_sweep.add_argument("--time-limit", type=float, default=600.0)
+    p_sweep.add_argument("--steps", type=int, dest="max_steps", default=400,
+                         help="maximum MC steps per trial")
+    p_sweep.add_argument("--time-limit", type=float, dest="prune_wall_clock_s")
     p_sweep.add_argument("--out", type=str, default="-", help="summary JSON path, '-' for stdout")
 
     p_report = sub.add_parser("report", help="CSV convergence table from sweep summaries")
@@ -151,31 +155,24 @@ def _cmd_diag(args) -> int:
     return 0
 
 
+# the run settings a flag may set, by field name; seed and fix_first are passed apart
+_SETTINGS = {f.name for cls in (SamplerConfig, VmcConfig) for f in fields(cls)
+             if f.name not in ("seed", "fix_first")}
+
+
+def _given_settings(args) -> dict:
+    return {k: v for k, v in vars(args).items() if k in _SETTINGS and v is not None}
+
+
 def _solve_config(args, instance: Instance) -> VmcConfig:
     n = instance.n_cities
     rep = args.rep
     net = args.net if args.net is not None else ("cnn" if rep == "qudit" else "rbm")
     if (rep, net) not in (("qudit", "cnn"), ("qubit", "rbm")):
         raise _UsageError(f"--net {net} does not match --rep {rep}")
-    hyper = harness.midpoint_hyperparams(n, rep)
-    overrides = {
-        "n_chains": args.chains,
-        "n_swaps": args.swaps,
-        "max_swap_len": args.max_swap_len,
-        "sample_size": args.sample_size,
-        "learning_rate": args.lr,
-        "n_hidden": args.hidden,
-        "n_channels": args.channels,
-        "kernel_size": args.kernel,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            hyper[key] = value
+    hyper = {**harness.midpoint_hyperparams(n, rep), **_given_settings(args)}
     seed = args.seed if args.seed is not None else _env_seed()
-    return harness.make_vmc_config(
-        rep, hyper, seed=seed, fix_first=args.fix_first, max_steps=args.steps,
-        prune_no_improve_steps=args.no_improve_steps, prune_wall_clock_s=args.time_limit,
-    )
+    return harness.make_vmc_config(rep, hyper, seed=seed, fix_first=args.fix_first)
 
 
 def _resolve_target(args, instance: Instance) -> float | None:
@@ -222,10 +219,7 @@ def _cmd_solve(args) -> int:
 def _cmd_sweep(args) -> int:
     instance = _resolve_instance(args)
     seed = args.seed if args.seed is not None else _env_seed()
-    summary = harness.sweep(
-        instance, args.rep, None, args.trials, seed,
-        max_steps=args.steps, prune_wall_clock_s=args.time_limit,
-    )
+    summary = harness.sweep(instance, args.rep, None, args.trials, seed, **_given_settings(args))
     _write_text(args.out, harness.summary_json(summary))
     if args.out != "-":
         print(f"converged: {summary.percent_converged:.1f}% of {summary.n_trials} trials")

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,10 +31,15 @@ VALID_SUBSPACE_MAX_CITIES = 8
 @dataclass(frozen=True)
 class PenaltyConfig:
     """Energy penalties for invalid configurations; both must dominate
-    every distance in the instance."""
+    every distance in the instance, and both are finite and >= 0."""
 
     p: float
     p_prime: float
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not 0 <= value < math.inf:  # NaN fails every comparison
+                raise ValueError(f"penalty {name} must be finite and >= 0, got {value}")
 
 
 def default_penalties(instance: Instance) -> PenaltyConfig:
@@ -65,9 +71,9 @@ def tours_to_sigma(orders: np.ndarray) -> np.ndarray:
     """
     orders = np.asarray(orders, dtype=np.int64)
     b, n = orders.shape
-    z = np.zeros((b, n, n), dtype=np.float64)
-    z[np.arange(b)[:, None], orders - 1, np.arange(n)[None, :]] = 1.0
-    return (2.0 * z - 1.0).reshape(b, n * n)
+    sigma = np.full((b, n, n), -1.0)
+    sigma[np.arange(b)[:, None], orders - 1, np.arange(n)[None, :]] = 1.0
+    return sigma.reshape(b, n * n)
 
 
 def qubo_objective(

@@ -47,7 +47,21 @@ def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 class _FlatLayout:
     """The flat real vector of a parameter container, laid out by its
     fields, and its shape: the values of shape_keys, which from_flat and
-    block_shapes take in that order."""
+    block_shapes take in that order. Each field holds a read-only complex
+    copy of its block, so evaluations may cache derived forms per object."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            block = np.array(getattr(self, f.name), dtype=np.complex128)
+            block.setflags(write=False)
+            object.__setattr__(self, f.name, block)
+        got = {f.name: getattr(self, f.name).shape for f in fields(self)}
+        try:  # reading the shape raises IndexError when a block has too few axes
+            consistent = got == self.block_shapes(*self.shape)
+        except IndexError:
+            consistent = False
+        if not consistent:
+            raise ValueError(f"inconsistent {self.kind} block shapes {got}")
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -88,16 +102,6 @@ class RbmParams(_FlatLayout):
     def block_shapes(n_visible: int, n_hidden: int) -> dict[str, tuple[int, ...]]:
         return {"a": (n_visible,), "b": (n_hidden,), "w": (n_hidden, n_visible)}
 
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=np.complex128)
-        b = np.asarray(self.b, dtype=np.complex128)
-        w = np.asarray(self.w, dtype=np.complex128)
-        if w.shape != (b.shape[0], a.shape[0]):
-            raise ValueError(f"w shape {w.shape} inconsistent with a/b sizes")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "w", w)
-
     @property
     def n_visible(self) -> int:
         return self.a.shape[0]
@@ -118,26 +122,12 @@ class CnnParams(_FlatLayout):
     w: np.ndarray        # (kernel_size, n_channels)
     b: np.ndarray        # (n_channels,)
     dense_w: np.ndarray  # (n_channels,)
-    dense_b: complex
+    dense_b: np.ndarray  # ()
 
     @staticmethod
     def block_shapes(kernel_size: int, n_channels: int) -> dict[str, tuple[int, ...]]:
         return {"w": (kernel_size, n_channels), "b": (n_channels,),
                 "dense_w": (n_channels,), "dense_b": ()}
-
-    def __post_init__(self):
-        # read-only copies: the evaluation caches derived forms per object
-        w = np.array(self.w, dtype=np.complex128)
-        b = np.array(self.b, dtype=np.complex128)
-        dw = np.array(self.dense_w, dtype=np.complex128)
-        if w.ndim != 2 or b.shape != (w.shape[1],) or dw.shape != (w.shape[1],):
-            raise ValueError("inconsistent convolution/dense shapes")
-        for array in (w, b, dw):
-            array.setflags(write=False)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "dense_w", dw)
-        object.__setattr__(self, "dense_b", complex(self.dense_b))
 
     @property
     def kernel_size(self) -> int:

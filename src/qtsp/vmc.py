@@ -43,7 +43,7 @@ class VmcConfig:
     n_channels: int = 0          # convolutional network
     kernel_size: int = 0
     learning_rate: float = 1e-2
-    max_steps: int = 500
+    max_steps: int = 2000
     prune_no_improve_steps: int = 300
     prune_wall_clock_s: float = 600.0
 
@@ -110,8 +110,8 @@ class RunRecord:
 # ---------------------------------------------------------------------------
 
 class Ansatz:
-    """A network on encoded tours: the levels as floats for the convolutional
-    network, the one-hot spins for the spin network."""
+    """A network on encoded tours: the levels for the convolutional network,
+    the one-hot spins for the spin network."""
 
     def __init__(self, params: nqs.NetworkParams, log_psi: Callable,
                  energy_gradient: Callable, encode: Callable[[np.ndarray], np.ndarray]):
@@ -133,10 +133,6 @@ class Ansatz:
         self.params = type(self.params).from_flat(flat, *self.params.shape)
 
 
-def _levels(tours: np.ndarray) -> np.ndarray:
-    return np.asarray(tours, dtype=float)
-
-
 def derive_init_seed(sampler_seed: int) -> int:
     ss = np.random.SeedSequence(entropy=sampler_seed, spawn_key=(_INIT_SPAWN_KEY,))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
@@ -150,7 +146,7 @@ def build_ansatz(cfg: VmcConfig, n_cities: int) -> Ansatz:
         if cfg.kernel_size > n_cities:
             raise ValueError("kernel_size cannot exceed the number of cities")
         params = nqs.init_params("cnn", (cfg.kernel_size, cfg.n_channels), INIT_SCALE, seed)
-        return Ansatz(params, nqs.cnn_log_psi, nqs.cnn_energy_gradient, _levels)
+        return Ansatz(params, nqs.cnn_log_psi, nqs.cnn_energy_gradient, np.asarray)
     if cfg.n_hidden < 1:
         raise ValueError("qubit representation needs n_hidden >= 1")
     params = nqs.init_params("rbm", (n_cities * n_cities, cfg.n_hidden), INIT_SCALE, seed)

@@ -1,7 +1,7 @@
 import csv
 import io
 import json
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -22,7 +22,7 @@ from qtsp.harness import (
     sweep,
 )
 from qtsp.instance import brute_force_optimum, instance_json, linear_instance, planted_optimum
-from qtsp.vmc import train
+from qtsp.vmc import VmcConfig, train
 
 
 class TestDefaultTarget:
@@ -227,17 +227,40 @@ class TestCli:
         assert from_cli == [without_clocks(json.loads(json.dumps(line))) for line in lines]
 
     def test_solve_flag_overrides_land_in_config(self, tmp_path):
+        """Every setting flag reaches the config field it names; --hidden is
+        a field of both representations' config, so it lands on qudit too."""
         out = tmp_path / "run.jsonl"
-        assert cli(["solve", "--rep", "qudit", "--cities", "4", "--steps", "5",
-                    "--chains", "4", "--swaps", "1", "--sample-size", "64",
-                    "--lr", "0.005", "--channels", "2", "--kernel", "2",
+        assert cli(["solve", "--rep", "qudit", "--cities", "5", "--steps", "5",
+                    "--chains", "4", "--swaps", "3", "--max-swap-len", "2",
+                    "--sample-size", "64", "--lr", "0.005", "--hidden", "7",
+                    "--channels", "2", "--kernel", "3", "--time-limit", "50",
+                    "--no-improve-steps", "9", "--out", str(out)]) == 0
+        cfg = json.loads(out.read_text().splitlines()[0])["config"]
+        given = {"n_chains": 4, "n_swaps": 3, "max_swap_len": 2, "sample_size": 64}
+        assert {k: cfg["sampler"][k] for k in given} == given
+        given = {"n_hidden": 7, "n_channels": 2, "kernel_size": 3, "learning_rate": 0.005,
+                 "max_steps": 5, "prune_no_improve_steps": 9, "prune_wall_clock_s": 50.0}
+        assert {k: cfg[k] for k in given} == given
+
+    def test_solve_without_budget_flags_keeps_the_config_defaults(self, tmp_path):
+        out = tmp_path / "run.jsonl"
+        assert cli(["solve", "--rep", "qudit", "--cities", "4", "--target", "auto",
                     "--out", str(out)]) == 0
-        header = json.loads(out.read_text().splitlines()[0])
-        cfg = header["config"]
-        assert cfg["sampler"]["n_chains"] == 4
-        assert cfg["sampler"]["sample_size"] == 64
-        assert cfg["learning_rate"] == 0.005
-        assert cfg["n_channels"] == 2
+        cfg = json.loads(out.read_text().splitlines()[0])["config"]
+        for f in fields(VmcConfig):
+            if f.name in ("max_steps", "prune_no_improve_steps", "prune_wall_clock_s"):
+                assert cfg[f.name] == f.default and type(cfg[f.name]) is type(f.default)
+
+    def test_sweep_budget_flags_reach_the_sweep(self, monkeypatch):
+        calls = []
+        summary = fake_summary(4, "qudit", [True], [0.5])
+        monkeypatch.setattr("qtsp.harness.sweep",
+                            lambda *args, **kwargs: calls.append(kwargs) or summary)
+        assert cli(["sweep", "--cities", "4", "--rep", "qudit", "--trials", "1",
+                    "--steps", "7", "--time-limit", "5", "--out", "-"]) == 0
+        assert calls == [{"max_steps": 7, "prune_wall_clock_s": 5.0}]
+        assert cli(["sweep", "--cities", "4", "--rep", "qudit", "--trials", "1"]) == 0
+        assert calls[1] == {"max_steps": 400}
 
     def test_single_sample_is_rejected_before_any_output(self, tmp_path):
         # the covariance gradient needs two samples; the run must not start
@@ -270,6 +293,13 @@ class TestCli:
         hand[1, 1] = hand[2, 2] = 2.0
         expected = np.linalg.eigvalsh(hand)[0]
         assert reported == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("penalty", ["nan", "inf", "-5"])
+    def test_diag_rejects_meaningless_penalty(self, tmp_path, capsys, penalty):
+        path = tmp_path / "h.csv"
+        assert cli(["diag", "--cities", "2", f"--p={penalty}", "--csv", str(path)]) == 2
+        assert "penalty p must be finite and >= 0" in capsys.readouterr().err
+        assert not path.exists()
 
     def test_diag_csv_export(self, tmp_path):
         path = tmp_path / "h.csv"

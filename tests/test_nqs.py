@@ -175,12 +175,17 @@ class TestCnnLogPsi:
         np.testing.assert_allclose(batch, single, rtol=0, atol=1e-12)
 
     def test_params_are_read_only_copies(self):
-        w = np.zeros((2, 3), dtype=complex)
-        params = nqs.CnnParams(w=w, b=np.zeros(3), dense_w=np.ones(3), dense_b=0.0)
-        w[0, 0] = 1.0
-        assert params.w[0, 0] == 0.0
-        with pytest.raises(ValueError):
-            params.w[0, 0] = 1.0
+        """Both kinds copy every block, even one already complex128, and
+        refuse writes: the evaluations cache derived forms per object."""
+        for cls in (nqs.CnnParams, nqs.RbmParams):
+            blocks = {name: np.zeros(shape, dtype=complex)
+                      for name, shape in cls.block_shapes(2, 3).items()}
+            params = cls(**blocks)
+            for name, block in blocks.items():
+                block[...] = 1.0
+                assert not getattr(params, name).any()
+                with pytest.raises(ValueError):
+                    getattr(params, name)[...] = 1.0
 
     def test_kernel_larger_than_ring(self):
         params = nqs.init_params("cnn", (5, 2), 0.1, 0)
@@ -375,6 +380,21 @@ class TestFlatLayout:
         np.testing.assert_array_equal(rbm.to_flat(), [1, 0, 0, 2, 3, 0, 4, 5, 0, 0])
         cnn = nqs.CnnParams(w=[[1j], [2]], b=[3], dense_w=[4], dense_b=5 + 6j)
         np.testing.assert_array_equal(cnn.to_flat(), [0, 2, 1, 0, 3, 0, 4, 0, 5, 6])
+
+    @pytest.mark.parametrize("cls,name,shape", [
+        (nqs.RbmParams, "w", (2, 3)),        # transposed
+        (nqs.RbmParams, "w", (6,)),
+        (nqs.RbmParams, "a", ()),
+        (nqs.CnnParams, "w", (2, 2)),        # two channels, three biases
+        (nqs.CnnParams, "w", (6,)),
+        (nqs.CnnParams, "dense_b", (2,)),
+    ], ids=["rbm-w-transposed", "rbm-w-1d", "rbm-a-0d", "cnn-w-mismatched", "cnn-w-1d",
+            "cnn-dense_b-2"])
+    def test_inconsistent_block_shapes_are_rejected(self, cls, name, shape):
+        blocks = {n: np.zeros(s) for n, s in cls.block_shapes(2, 3).items()}
+        blocks[name] = np.zeros(shape)
+        with pytest.raises(ValueError, match=f"inconsistent {cls.kind} block shapes"):
+            cls(**blocks)
 
     def test_length_guard(self):
         with pytest.raises(ValueError):
