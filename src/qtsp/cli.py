@@ -35,8 +35,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _env_seed() -> int:
-    return int(os.environ.get("QTSP_SEED", "0"))
+def _seed(args) -> int:
+    """--seed, else the QTSP_SEED environment variable, else 0; a seed that
+    is not a non-negative integer is an error naming where it came from."""
+    source, value = ("--seed", args.seed) if args.seed is not None else (
+        "QTSP_SEED", os.environ.get("QTSP_SEED", "0"))
+    if not str(value).isdecimal():
+        raise QtspError(f"{source} must be a non-negative integer, got {value!r}")
+    return int(value)
 
 
 def _add_instance_flags(p: argparse.ArgumentParser) -> None:
@@ -171,8 +177,7 @@ def _solve_config(args, instance: Instance) -> VmcConfig:
     if (rep, net) not in (("qudit", "cnn"), ("qubit", "rbm")):
         raise _UsageError(f"--net {net} does not match --rep {rep}")
     hyper = {**harness.midpoint_hyperparams(n, rep), **_given_settings(args)}
-    seed = args.seed if args.seed is not None else _env_seed()
-    return harness.make_vmc_config(rep, hyper, seed=seed, fix_first=args.fix_first)
+    return harness.make_vmc_config(rep, hyper, seed=_seed(args), fix_first=args.fix_first)
 
 
 def _resolve_target(args, instance: Instance) -> float | None:
@@ -218,8 +223,8 @@ def _cmd_solve(args) -> int:
 
 def _cmd_sweep(args) -> int:
     instance = _resolve_instance(args)
-    seed = args.seed if args.seed is not None else _env_seed()
-    summary = harness.sweep(instance, args.rep, None, args.trials, seed, **_given_settings(args))
+    summary = harness.sweep(instance, args.rep, None, args.trials, _seed(args),
+                            **_given_settings(args))
     _write_text(args.out, harness.summary_json(summary))
     if args.out != "-":
         print(f"converged: {summary.percent_converged:.1f}% of {summary.n_trials} trials")

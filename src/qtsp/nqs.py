@@ -153,6 +153,14 @@ class LogPsiGrad:
         return self.row
 
 
+def _single_row(log_derivatives, params: NetworkParams, config: np.ndarray) -> LogPsiGrad:
+    """The log-derivative row of one configuration."""
+    config = np.asarray(config, dtype=float)
+    if config.ndim != 1:
+        raise ValueError(f"expected a single configuration, got shape {config.shape}")
+    return LogPsiGrad(log_derivatives(params, config[None, :])[0])
+
+
 # ---------------------------------------------------------------------------
 # spin network
 # ---------------------------------------------------------------------------
@@ -169,29 +177,31 @@ def log_2cosh(z: np.ndarray) -> np.ndarray:
     return s + np.log1p(np.exp(-2.0 * s))
 
 
+def _rbm_theta(params: RbmParams, sigmas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A (B, n_visible) spin batch as floats, and its hidden-unit arguments
+    theta = W sigma + b, (B, n_hidden)."""
+    sigmas = np.asarray(sigmas, dtype=float)
+    if sigmas.ndim != 2 or sigmas.shape[1] != params.n_visible:
+        raise ValueError(f"expected (B, {params.n_visible}) spin batch, got {sigmas.shape}")
+    return sigmas, sigmas @ params.w.T + params.b
+
+
 def rbm_log_psi(params: RbmParams, sigma: np.ndarray) -> complex | np.ndarray:
     """log psi for spin vectors sigma in {-1,+1}^(n_visible).
 
     Accepts a single vector or a (B, n_visible) batch.
     """
     sigma = np.asarray(sigma, dtype=float)
-    single = sigma.ndim == 1
-    sig = sigma.reshape(-1, sigma.shape[-1])
-    if sig.shape[1] != params.n_visible:
-        raise ValueError(f"expected {params.n_visible} spins, got {sig.shape[1]}")
-    theta = sig @ params.w.T + params.b
+    sig, theta = _rbm_theta(params, sigma.reshape(-1, sigma.shape[-1]))
     value = sig @ params.a + log_2cosh(theta).sum(axis=1)
-    return complex(value[0]) if single else value
+    return complex(value[0]) if sigma.ndim == 1 else value
 
 
 def rbm_log_derivatives(params: RbmParams, sigmas: np.ndarray) -> np.ndarray:
     """(B, 2P) matrix of d log psi / d theta_k over the flat real layout:
     sigma_j for a_j, tanh(theta_l) for b_l and sigma_j tanh(theta_l) for W_lj,
     each as (g, i*g) for its (Re, Im) parts, since the amplitude is holomorphic."""
-    sigmas = np.asarray(sigmas, dtype=float)
-    if sigmas.ndim != 2 or sigmas.shape[1] != params.n_visible:
-        raise ValueError(f"expected (B, {params.n_visible}) spin batch, got {sigmas.shape}")
-    theta = sigmas @ params.w.T + params.b
+    sigmas, theta = _rbm_theta(params, sigmas)
     t = np.tanh(theta)                                   # (B, H)
     g = {"a": sigmas.astype(np.complex128), "b": t, "w": t[:, :, None] * sigmas[:, None, :]}
     return _join(RbmParams, {name: (v, 1j * v) for name, v in g.items()}, lead=sigmas.shape[:1])
@@ -199,10 +209,7 @@ def rbm_log_derivatives(params: RbmParams, sigmas: np.ndarray) -> np.ndarray:
 
 def rbm_grad_log_psi(params: RbmParams, sigma: np.ndarray) -> LogPsiGrad:
     """Exact single-configuration gradient of log psi."""
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.shape != (params.n_visible,):
-        raise ValueError(f"expected {params.n_visible} spins, got {sigma.shape}")
-    return LogPsiGrad(rbm_log_derivatives(params, sigma[None, :])[0])
+    return _single_row(rbm_log_derivatives, params, sigma)
 
 
 def _centred_weights(energies: np.ndarray, batch: int) -> np.ndarray:
@@ -224,12 +231,11 @@ def rbm_energy_gradient(params: RbmParams, sigmas: np.ndarray, energies: np.ndar
     c^T conj t for b and (c * conj t)^T sigma for W; since the amplitude is
     holomorphic, the (Re, Im) entries of each block are 2 Re G and 2 Im G.
     """
-    sigmas = np.asarray(sigmas, dtype=float)
-    if sigmas.ndim != 2 or sigmas.shape[1] != params.n_visible:
-        raise ValueError(f"expected (B, {params.n_visible}) spin batch, got {sigmas.shape}")
+    sigmas, theta = _rbm_theta(params, sigmas)
     c = _centred_weights(energies, sigmas.shape[0])
-    t = np.conj(np.tanh(sigmas @ params.w.T + params.b))     # (B, H)
-    return 2.0 * RbmParams(a=c @ sigmas, b=c @ t, w=(c[:, None] * t).T @ sigmas).to_flat()
+    t = np.conj(np.tanh(theta, out=theta), out=theta)        # (B, H), in theta's buffer
+    g = {"a": c @ sigmas, "b": c @ t, "w": (c[:, None] * t).T @ sigmas}
+    return 2.0 * _join(RbmParams, {name: (v.real, v.imag) for name, v in g.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +244,10 @@ def rbm_energy_gradient(params: RbmParams, sigmas: np.ndarray, energies: np.ndar
 
 @lru_cache(maxsize=64)
 def _window_index(n: int, k: int) -> np.ndarray:
+    """(n, k) ring indices of the filter windows: row i holds the levels
+    i, i+1, ..., i+k-1 (mod n) that the filter sees at position i."""
+    if k > n:
+        raise ValueError(f"kernel size {k} exceeds configuration length {n}")
     idx = (np.arange(n)[:, None] + np.arange(k)[None, :]) % n
     idx.setflags(write=False)
     return idx
@@ -247,36 +257,18 @@ def _window_index(n: int, k: int) -> np.ndarray:
 def _cnn_unrolled(params: CnnParams, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The network unrolled over a ring of n levels in real arithmetic:
     levels @ conv + bias are the (B, n*2F) pre-activations [Re | Im] of
-    every position (conv is the circulant of [Re w | Im w]), and
-    rectified @ dense is the position sum and the dense output neuron.
-    Cached per parameter object, whose arrays are read-only."""
-    k, f = params.kernel_size, params.n_channels
-    if k > n:
-        raise ValueError(f"kernel size {k} exceeds configuration length {n}")
-    filters = np.zeros((n, 2 * f))
-    filters[:k] = np.concatenate([params.w.real, params.w.imag], axis=1)
-    shift = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n   # (level, position)
-    conv = filters[shift].reshape(n, n * 2 * f)
+    every position (conv scatters [Re w | Im w] onto each position's
+    window), and rectified @ dense is the position sum and the dense
+    output neuron. Cached per parameter object, whose arrays are read-only."""
+    conv = np.zeros((n, n, 2 * params.n_channels))               # (level, position, 2F)
+    conv[_window_index(n, params.kernel_size), np.arange(n)[:, None]] = np.concatenate(
+        [params.w.real, params.w.imag], axis=1)
+    conv = conv.reshape(n, -1)
     bias = np.tile(np.concatenate([params.b.real, params.b.imag]), n)
     dense = np.tile(np.concatenate([params.dense_w, 1j * params.dense_w]), n)
     for array in (conv, bias, dense):
         array.setflags(write=False)
     return conv, bias, dense
-
-
-def _cnn_preactivations(params: CnnParams, levels: np.ndarray) -> np.ndarray:
-    """(B, N, F) complex pre-activations of the circular convolution."""
-    n = levels.shape[-1]
-    if params.kernel_size > n:
-        raise ValueError(
-            f"kernel size {params.kernel_size} exceeds configuration length {n}"
-        )
-    windows = levels[:, _window_index(n, params.kernel_size)]   # (B, N, K)
-    return windows @ params.w + params.b
-
-
-def _split_relu(z: np.ndarray) -> np.ndarray:
-    return np.maximum(z.real, 0.0) + 1j * np.maximum(z.imag, 0.0)
 
 
 def cnn_log_psi(params: CnnParams, config: np.ndarray) -> complex | np.ndarray:
@@ -306,15 +298,14 @@ def cnn_log_derivatives(params: CnnParams, configs: np.ndarray) -> np.ndarray:
     if configs.ndim != 2:
         raise ValueError(f"expected a (B, N) batch, got shape {configs.shape}")
     batch, n = configs.shape
-    pre = _cnn_preactivations(params, configs)                  # (B, N, F)
-    act = _split_relu(pre)
-    pooled = act.sum(axis=1)                                    # (B, F)
+    windows = configs[:, _window_index(n, params.kernel_size)]  # (B, N, K)
+    pre = windows @ params.w + params.b                         # (B, N, F)
+    pooled = (np.maximum(pre.real, 0.0) + 1j * np.maximum(pre.imag, 0.0)).sum(axis=1)
 
     # d log psi / d pre.real and / d pre.imag, both complex
     g_re = np.where(pre.real > 0, 1.0, 0.0) * params.dense_w    # (B, N, F)
     g_im = np.where(pre.imag > 0, 1.0, 0.0) * (1j * params.dense_w)
 
-    windows = configs[:, _window_index(n, params.kernel_size)]  # (B, N, K)
     ones = np.ones(batch, dtype=np.complex128)
     return _join(CnnParams, {
         "w": [np.einsum("bnk,bnf->bkf", windows, g) for g in (g_re, g_im)],
@@ -356,10 +347,7 @@ def cnn_energy_gradient(params: CnnParams, configs: np.ndarray, energies: np.nda
 
 def cnn_grad_log_psi(params: CnnParams, config: np.ndarray) -> LogPsiGrad:
     """Exact single-configuration gradient of log psi."""
-    config = np.asarray(config, dtype=float)
-    if config.ndim != 1:
-        raise ValueError("cnn_grad_log_psi takes a single configuration")
-    return LogPsiGrad(cnn_log_derivatives(params, config[None, :])[0])
+    return _single_row(cnn_log_derivatives, params, config)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,9 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 INIT_SCALE = 0.02
 
+# the shape fields of each representation's network; the other's stay 0
+_NETWORK_FIELDS = {"qubit": ("n_hidden",), "qudit": ("n_channels", "kernel_size")}
+
 # spawn key reserved for the parameter-init stream; chain streams use the
 # plain spawn children (0,), (1,), ... of the sampler seed
 _INIT_SPAWN_KEY = 1 << 20
@@ -48,8 +51,15 @@ class VmcConfig:
     prune_wall_clock_s: float = 600.0
 
     def __post_init__(self):
-        if self.representation not in ("qubit", "qudit"):
+        if self.representation not in _NETWORK_FIELDS:
             raise ValueError(f"unknown representation {self.representation!r}")
+        for rep, names in _NETWORK_FIELDS.items():
+            for name in names:
+                if rep == self.representation and getattr(self, name) < 1:
+                    raise ValueError(f"{rep} representation needs {name} >= 1")
+                if rep != self.representation and getattr(self, name) != 0:
+                    raise ValueError(f"{name} belongs to the {rep} network, "
+                                     f"not to the {self.representation} one")
         if self.sampler.sample_size < 2:
             raise ValueError("sample_size must be at least 2: the gradient is a covariance")
         if not 0 <= self.learning_rate < math.inf:
@@ -141,14 +151,10 @@ def derive_init_seed(sampler_seed: int) -> int:
 def build_ansatz(cfg: VmcConfig, n_cities: int) -> Ansatz:
     seed = derive_init_seed(cfg.sampler.seed)
     if cfg.representation == "qudit":
-        if cfg.n_channels < 1 or cfg.kernel_size < 1:
-            raise ValueError("qudit representation needs n_channels and kernel_size >= 1")
         if cfg.kernel_size > n_cities:
             raise ValueError("kernel_size cannot exceed the number of cities")
         params = nqs.init_params("cnn", (cfg.kernel_size, cfg.n_channels), INIT_SCALE, seed)
         return Ansatz(params, nqs.cnn_log_psi, nqs.cnn_energy_gradient, np.asarray)
-    if cfg.n_hidden < 1:
-        raise ValueError("qubit representation needs n_hidden >= 1")
     params = nqs.init_params("rbm", (n_cities * n_cities, cfg.n_hidden), INIT_SCALE, seed)
     return Ansatz(params, nqs.rbm_log_psi, nqs.rbm_energy_gradient, tours_to_sigma)
 

@@ -227,20 +227,53 @@ class TestCli:
         assert from_cli == [without_clocks(json.loads(json.dumps(line))) for line in lines]
 
     def test_solve_flag_overrides_land_in_config(self, tmp_path):
-        """Every setting flag reaches the config field it names; --hidden is
-        a field of both representations' config, so it lands on qudit too."""
+        """Every setting flag reaches the config field it names: the qudit
+        run takes the convolutional network's flags, the qubit run --hidden."""
         out = tmp_path / "run.jsonl"
         assert cli(["solve", "--rep", "qudit", "--cities", "5", "--steps", "5",
                     "--chains", "4", "--swaps", "3", "--max-swap-len", "2",
-                    "--sample-size", "64", "--lr", "0.005", "--hidden", "7",
+                    "--sample-size", "64", "--lr", "0.005",
                     "--channels", "2", "--kernel", "3", "--time-limit", "50",
                     "--no-improve-steps", "9", "--out", str(out)]) == 0
         cfg = json.loads(out.read_text().splitlines()[0])["config"]
         given = {"n_chains": 4, "n_swaps": 3, "max_swap_len": 2, "sample_size": 64}
         assert {k: cfg["sampler"][k] for k in given} == given
-        given = {"n_hidden": 7, "n_channels": 2, "kernel_size": 3, "learning_rate": 0.005,
+        given = {"n_hidden": 0, "n_channels": 2, "kernel_size": 3, "learning_rate": 0.005,
                  "max_steps": 5, "prune_no_improve_steps": 9, "prune_wall_clock_s": 50.0}
         assert {k: cfg[k] for k in given} == given
+
+        assert cli(["solve", "--rep", "qubit", "--cities", "4", "--steps", "2",
+                    "--hidden", "7", "--out", str(out)]) == 0
+        cfg = json.loads(out.read_text().splitlines()[0])["config"]
+        assert {k: cfg[k] for k in ("n_hidden", "n_channels", "kernel_size")} == {
+            "n_hidden": 7, "n_channels": 0, "kernel_size": 0}
+
+    @pytest.mark.parametrize("rep,flags", [
+        ("qudit", ["--hidden", "7"]),
+        ("qubit", ["--channels", "2", "--kernel", "3"]),
+        ("qubit", ["--kernel", "3"]),
+    ], ids=["qudit-hidden", "qubit-channels-kernel", "qubit-kernel"])
+    def test_other_network_flag_is_rejected_before_any_output(self, tmp_path, capsys, rep, flags):
+        out = tmp_path / "r.jsonl"
+        assert cli(["solve", "--rep", rep, "--cities", "4", "--steps", "2", *flags,
+                    "--out", str(out)]) == 2
+        assert "belongs to the" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["solve", "--rep", "qudit", "--cities", "4", "--steps", "2"],
+        ["sweep", "--rep", "qudit", "--cities", "4", "--trials", "1", "--steps", "2"],
+    ], ids=["solve", "sweep"])
+    @pytest.mark.parametrize("env,flag,source", [
+        ("abc", [], "QTSP_SEED"), ("-3", [], "QTSP_SEED"), ("abc", ["--seed", "-1"], "--seed"),
+    ], ids=["env-malformed", "env-negative", "flag-negative"])
+    def test_bad_seed_names_its_source(self, tmp_path, capsys, monkeypatch, command, env, flag,
+                                       source):
+        monkeypatch.setenv("QTSP_SEED", env)
+        out = tmp_path / "r.json"
+        assert cli([*command, *flag, "--out", str(out)]) == 2
+        assert f"{source} must be a non-negative integer" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_solve_without_budget_flags_keeps_the_config_defaults(self, tmp_path):
         out = tmp_path / "run.jsonl"

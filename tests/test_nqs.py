@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import finite_difference, kink_free_cnn_params
+from helpers import finite_difference, kink_free_cnn_params, window_preactivations
 from qtsp import nqs
 from qtsp.encoding import tours_to_sigma
 from qtsp.vmc import estimate_gradient
@@ -84,8 +84,18 @@ class TestRbmLogPsi:
 
     def test_dimension_mismatch(self):
         params = nqs.init_params("rbm", (4, 2), 0.1, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"expected \(B, 4\) spin batch"):
             nqs.rbm_log_psi(params, np.ones(5))
+
+    @pytest.mark.parametrize("evaluate", [
+        nqs.rbm_log_psi,
+        nqs.rbm_log_derivatives,
+        lambda params, sigmas: nqs.rbm_energy_gradient(params, sigmas, np.arange(len(sigmas))),
+    ], ids=["log_psi", "log_derivatives", "energy_gradient"])
+    def test_dimension_mismatch_every_entry_point(self, evaluate):
+        params = nqs.init_params("rbm", (4, 2), 0.1, 0)
+        with pytest.raises(ValueError, match=r"expected \(B, 4\) spin batch"):
+            evaluate(params, np.ones((2, 5)))
 
     def test_deterministic(self):
         params = nqs.init_params("rbm", (4, 2), 0.3, 9)
@@ -189,8 +199,33 @@ class TestCnnLogPsi:
 
     def test_kernel_larger_than_ring(self):
         params = nqs.init_params("cnn", (5, 2), 0.1, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="kernel size 5 exceeds configuration length 3"):
             nqs.cnn_log_psi(params, np.array([1, 2, 3]))
+
+    @pytest.mark.parametrize("evaluate", [
+        nqs.cnn_log_psi,
+        nqs.cnn_log_derivatives,
+        lambda params, configs: nqs.cnn_energy_gradient(params, configs, np.arange(len(configs))),
+    ], ids=["log_psi", "log_derivatives", "energy_gradient"])
+    def test_kernel_larger_than_ring_every_entry_point(self, evaluate):
+        params = nqs.init_params("cnn", (5, 2), 0.1, 0)
+        with pytest.raises(ValueError, match="kernel size 5 exceeds configuration length 3"):
+            evaluate(params, np.array([[1.0, 2.0, 3.0], [3.0, 1.0, 2.0]]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 12), data=st.data(), batch=st.integers(1, 8),
+           channels=st.integers(1, 6), scale=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_circulant_matches_window_form(self, n, data, batch, channels, scale, seed):
+        """The scattered circulant gives every position's pre-activations
+        [Re | Im], as the windows times the filter do."""
+        kernel = data.draw(st.integers(1, n), label="kernel")
+        rng = np.random.default_rng(seed)
+        params = nqs.init_params("cnn", (kernel, channels), scale, seed)
+        levels = np.stack([rng.permutation(np.arange(1, n + 1)) for _ in range(batch)]).astype(float)
+        conv, bias, _ = nqs._cnn_unrolled(params, n)
+        pre = window_preactivations(params, levels)
+        np.testing.assert_allclose((levels @ conv + bias).reshape(batch, n, 2 * channels),
+                                   np.concatenate([pre.real, pre.imag], axis=-1), rtol=0, atol=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(2, 12), batch=st.integers(1, 8), kernel=st.integers(1, 12),
@@ -220,8 +255,8 @@ class TestCnnGrad:
     def test_dense_weight_gradient_is_pooled_activation(self):
         params = nqs.init_params("cnn", (2, 3), 0.3, 4)
         config = np.array([2, 4, 1, 3], dtype=float)
-        act = nqs._split_relu(nqs._cnn_preactivations(params, config[None, :]))
-        pooled = act.sum(axis=1)[0]
+        pre = window_preactivations(params, config[None, :])[0]
+        pooled = (np.maximum(pre.real, 0.0) + 1j * np.maximum(pre.imag, 0.0)).sum(axis=0)
         _, _, dense_w, _ = cnn_blocks(nqs.cnn_grad_log_psi(params, config).to_flat(), 2, 3)
         np.testing.assert_allclose(dense_w[0], pooled, atol=1e-14)
         np.testing.assert_allclose(dense_w[1], 1j * pooled, atol=1e-14)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_symmetric_instance
+from helpers import random_symmetric_instance, window_preactivations
 from qtsp import nqs
 from qtsp.encoding import tours_to_sigma
 from qtsp.errors import InvalidTourError
@@ -75,7 +75,7 @@ class TestEstimateGradient:
         if kind == "cnn":
             shape = (2, 3)
             params = nqs.init_params("cnn", shape, 0.15, 0)
-            pre = nqs._cnn_preactivations(params, tours.astype(float))
+            pre = window_preactivations(params, tours)
             assert min(np.abs(pre.real).min(), np.abs(pre.imag).min()) > 1e-3
 
             def log_psi_all(flat):
@@ -289,6 +289,16 @@ class TestBuildAnsatz:
         flat = ansatz.get_flat()
         ansatz.set_flat(flat * 2)
         np.testing.assert_array_equal(ansatz.get_flat(), flat * 2)
+
+    @pytest.mark.parametrize("representation,shape", [
+        ("qudit", {"n_hidden": 7}), ("qudit", {"kernel_size": 0}),
+        ("qubit", {"n_channels": 2}), ("qubit", {"n_hidden": 0}),
+    ], ids=["qudit-with-hidden", "qudit-without-kernel", "qubit-with-channels",
+            "qubit-without-hidden"])
+    def test_config_takes_exactly_its_own_network_shape(self, representation, shape):
+        from dataclasses import replace
+        with pytest.raises(ValueError, match="belongs to the|needs"):
+            replace(midpoint_vmc_config(4, representation, seed=0, max_steps=1), **shape)
 
     def test_kernel_guard(self):
         from dataclasses import replace
