@@ -11,7 +11,9 @@ Two ansatze, both returning log psi(config) as a complex scalar:
 Derivatives are taken with respect to the real and imaginary parts of every
 parameter as independent real degrees of freedom. The fields of the
 parameter dataclasses below, in order, define the "flat" layout the
-optimizer uses: each block raveled, its real part then its imaginary part.
+optimizer uses: each block raveled, with the real and imaginary parts of
+every entry side by side, which is the blocks' complex memory read as
+float64.
 """
 
 from __future__ import annotations
@@ -28,20 +30,13 @@ import numpy as np
 # ---------------------------------------------------------------------------
 
 def _join(cls, blocks: dict, lead: tuple[int, ...] = ()) -> np.ndarray:
-    """Concatenate the parts of every block of cls, fields in order, each
-    part raveled behind the leading axes `lead`, along the last axis. With
-    (Re, Im) parts per block this is the flat layout; with the derivatives
-    of log psi by those parts it is a row of log-derivatives."""
+    """Interleave the two parts of every block of cls entry by entry, fields
+    in order, each block raveled behind the leading axes `lead`, along the
+    last axis. With (Re, Im) parts per block this is the flat layout; with
+    the derivatives of log psi by those parts it is a row of log-derivatives."""
     return np.concatenate(
-        [np.reshape(part, (*lead, -1)) for f in fields(cls) for part in blocks[f.name]], axis=-1
+        [np.stack(blocks[f.name], axis=-1).reshape(*lead, -1) for f in fields(cls)], axis=-1
     )
-
-
-def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """re + i im without arithmetic, so signed zeros and infinities survive."""
-    z = np.empty(np.shape(re), dtype=np.complex128)
-    z.real, z.imag = re, im
-    return z
 
 
 class _FlatLayout:
@@ -76,15 +71,16 @@ class _FlatLayout:
 
     @classmethod
     def from_flat(cls, flat: np.ndarray, *shape: int):
-        flat = np.asarray(flat, dtype=float)
+        """The parameters whose flat layout is flat. The blocks are read as
+        views of flat's complex memory, which __post_init__ then copies."""
+        flat = np.ascontiguousarray(flat, dtype=np.float64)
         shapes = cls.block_shapes(*shape)
-        sizes = [2 * math.prod(shapes[f.name]) for f in fields(cls)]
-        if flat.shape != (sum(sizes),):
-            raise ValueError(f"expected {sum(sizes)} values for {cls.kind} shape {tuple(shape)}, "
+        sizes = [math.prod(shapes[f.name]) for f in fields(cls)]
+        if flat.shape != (2 * sum(sizes),):
+            raise ValueError(f"expected {2 * sum(sizes)} values for {cls.kind} shape {tuple(shape)}, "
                              f"got shape {flat.shape}")
-        blocks = np.split(flat, np.cumsum(sizes)[:-1])
-        return cls(**{f.name: _complex(*np.split(block, 2)).reshape(shapes[f.name])
-                      for f, block in zip(fields(cls), blocks)})
+        blocks = np.split(flat.view(np.complex128), np.cumsum(sizes)[:-1])
+        return cls(**{f.name: block.reshape(shapes[f.name]) for f, block in zip(fields(cls), blocks)})
 
 
 @dataclass(frozen=True, eq=False)

@@ -104,15 +104,16 @@ class TestRbmLogPsi:
 
 
 def rbm_blocks(row, m, h):
-    """(a, b, w) parts of a flat RBM row, each [Re, Im], laid out by hand."""
-    a_re, a_im, b_re, b_im, w_re, w_im = np.split(row, np.cumsum([m, m, h, h, h * m]))
-    return (a_re, a_im), (b_re, b_im), (w_re.reshape(h, m), w_im.reshape(h, m))
+    """(a, b, w) parts of a flat RBM row, each [Re, Im], laid out by hand:
+    every block raveled, the two parts of each entry side by side."""
+    a, b, w = np.split(row, np.cumsum([2 * m, 2 * h]))
+    return (a[0::2], a[1::2]), (b[0::2], b[1::2]), (w[0::2].reshape(h, m), w[1::2].reshape(h, m))
 
 
 def cnn_blocks(row, k, f):
     """(w, b, dense_w, dense_b) parts of a flat CNN row, each [Re, Im]."""
-    w_re, w_im, b_re, b_im, dw_re, dw_im, db = np.split(row, np.cumsum([k * f, k * f, f, f, f, f]))
-    return (w_re.reshape(k, f), w_im.reshape(k, f)), (b_re, b_im), (dw_re, dw_im), tuple(db)
+    w, b, dw, db = np.split(row, np.cumsum([2 * k * f, 2 * f, 2 * f]))
+    return (w[0::2].reshape(k, f), w[1::2].reshape(k, f)), (b[0::2], b[1::2]), (dw[0::2], dw[1::2]), tuple(db)
 
 
 class TestRbmGrad:
@@ -185,17 +186,21 @@ class TestCnnLogPsi:
         np.testing.assert_allclose(batch, single, rtol=0, atol=1e-12)
 
     def test_params_are_read_only_copies(self):
-        """Both kinds copy every block, even one already complex128, and
-        refuse writes: the evaluations cache derived forms per object."""
+        """Both kinds copy every block, even one already complex128 or a
+        view of from_flat's input, and refuse writes: the evaluations cache
+        derived forms per object."""
         for cls in (nqs.CnnParams, nqs.RbmParams):
             blocks = {name: np.zeros(shape, dtype=complex)
                       for name, shape in cls.block_shapes(2, 3).items()}
-            params = cls(**blocks)
-            for name, block in blocks.items():
-                block[...] = 1.0
-                assert not getattr(params, name).any()
-                with pytest.raises(ValueError):
-                    getattr(params, name)[...] = 1.0
+            flat = np.zeros(2 * sum(block.size for block in blocks.values()))
+            for params, source in ((cls(**blocks), list(blocks.values())),
+                                   (cls.from_flat(flat, 2, 3), [flat])):
+                for array in source:
+                    array[...] = 1.0
+                for name in blocks:
+                    assert not getattr(params, name).any()
+                    with pytest.raises(ValueError):
+                        getattr(params, name)[...] = 1.0
 
     def test_kernel_larger_than_ring(self):
         params = nqs.init_params("cnn", (5, 2), 0.1, 0)
@@ -412,9 +417,9 @@ class TestFlatLayout:
 
     def test_block_order(self):
         rbm = nqs.RbmParams(a=[1, 2j], b=[3], w=[[4, 5]])
-        np.testing.assert_array_equal(rbm.to_flat(), [1, 0, 0, 2, 3, 0, 4, 5, 0, 0])
+        np.testing.assert_array_equal(rbm.to_flat(), [1, 0, 0, 2, 3, 0, 4, 0, 5, 0])
         cnn = nqs.CnnParams(w=[[1j], [2]], b=[3], dense_w=[4], dense_b=5 + 6j)
-        np.testing.assert_array_equal(cnn.to_flat(), [0, 2, 1, 0, 3, 0, 4, 0, 5, 6])
+        np.testing.assert_array_equal(cnn.to_flat(), [0, 1, 2, 0, 3, 0, 4, 0, 5, 6])
 
     @pytest.mark.parametrize("cls,name,shape", [
         (nqs.RbmParams, "w", (2, 3)),        # transposed
