@@ -78,7 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--steps", type=int, dest="max_steps", help="maximum MC steps")
     p_solve.add_argument("--lr", type=float, dest="learning_rate")
     p_solve.add_argument("--chains", type=int, dest="n_chains")
-    p_solve.add_argument("--swaps", type=int, dest="n_swaps")
+    p_solve.add_argument("--swaps", type=int, dest="n_swaps",
+                         help="most swaps per proposal; each draws its count from 1..SWAPS")
     p_solve.add_argument("--max-swap-len", type=int, dest="max_swap_len")
     p_solve.add_argument("--sample-size", type=int, dest="sample_size",
                          help="configurations per step, a multiple of --chains")

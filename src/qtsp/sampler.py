@@ -1,10 +1,10 @@
 """Metropolis-Hastings sampling over valid tours.
 
-Proposals swap the occupations of two tour positions (a configurable
-number of swaps per proposal, the second position at most a given cyclic
-distance from the first), so chains never leave the permutation manifold
-and the encoding penalties never enter the dynamics. Acceptance follows
-min(1, |psi(n')/psi(n)|^2) on cached log-amplitudes.
+Proposals swap the occupations of two tour positions (a number of swaps
+per proposal drawn uniformly from 1..n_swaps, the second position at most
+a given cyclic distance from the first), so chains never leave the
+permutation manifold and the encoding penalties never enter the dynamics.
+Acceptance follows min(1, |psi(n')/psi(n)|^2) on cached log-amplitudes.
 
 The amplitude evaluator is a callable mapping a (B, N) int array of tours
 to a (B,) complex array of log psi values.
@@ -84,21 +84,23 @@ def _proposal_tables(n: int, max_swap_len: int, fix_first: bool):
 
 def _proposal_order(u: np.ndarray, n: int, cfg: SamplerConfig) -> np.ndarray:
     """Gather indices (..., n) of the proposals drawn by uniforms of shape
-    (..., 2 * n_swaps + 1), one row per chain-step from the chain's own
+    (..., 2 * n_swaps + 2), one row per chain-step from the chain's own
     stream: the proposal of a tour is tour[order].
 
     Swap k takes its first position from column 2k and its partner from
-    column 2k + 1, floor(u * m) picking one of m choices; the last column
-    is the accept decision's. A position without partners (only N=2 with
-    fix_first) swaps with itself. Each swap is a transposition, so an even
-    n_swaps proposes only even permutations of the current tour and the
-    chain stays in one parity coset; use an odd count when full-support
-    sampling matters.
+    column 2k + 1, floor(u * m) picking one of m choices; the next column
+    draws how many of the swaps are made, uniformly from 1..n_swaps, and
+    the last column is the accept decision's. A swap past that count, and
+    a position without partners (only N=2 with fix_first), swaps with
+    itself. Each swap is a transposition, so counts of both parities reach
+    every tour from any start.
     """
     first, partners, counts = _proposal_tables(n, cfg.max_swap_len, cfg.fix_first)
     lead, u = u.shape[:-1], u.reshape(-1, u.shape[-1])
-    p = first[(u[:, 0:-1:2] * first.shape[0]).astype(np.int64)]
-    q = partners[p, (u[:, 1:-1:2] * counts[p]).astype(np.int64)]
+    p = first[(u[:, 0:-2:2] * first.shape[0]).astype(np.int64)]
+    q = partners[p, (u[:, 1:-2:2] * counts[p]).astype(np.int64)]
+    made = np.arange(cfg.n_swaps) <= (u[:, -2:-1] * cfg.n_swaps).astype(np.int64)
+    q = np.where(made, q, p)
     order = np.tile(np.arange(n), (u.shape[0], 1))
     row_start = np.arange(0, order.size, n)[:, None]
     flat, p, q = order.reshape(-1), p + row_start, q + row_start
@@ -137,7 +139,7 @@ def init_chains(instance: Instance, cfg: SamplerConfig) -> list[ChainState]:
 def mh_step(state: ChainState, log_psi: LogPsiFn, cfg: SamplerConfig) -> ChainState:
     """One Metropolis-Hastings update in place, the one-chain, one-step case
     of run_chains; returns the state."""
-    u = state.rng.random(2 * cfg.n_swaps + 1)
+    u = state.rng.random(2 * cfg.n_swaps + 2)
     proposal = state.current[_proposal_order(u, state.current.shape[0], cfg)]
     value = complex(np.asarray(log_psi(proposal[None, :]))[0])
     state.n_proposed += 1
@@ -161,7 +163,7 @@ def run_chains(chains: list[ChainState], log_psi: LogPsiFn, cfg: SamplerConfig) 
     n_chains, n = tours.shape
     warmup = cfg.n_warmup if cfg.n_warmup is not None else 10 * n
     total = warmup + cfg.sample_size // n_chains
-    u = np.stack([c.rng.random((total, 2 * cfg.n_swaps + 1)) for c in chains])
+    u = np.stack([c.rng.random((total, 2 * cfg.n_swaps + 2)) for c in chains])
     flat_order = _proposal_order(u, n, cfg) + n * np.arange(n_chains)[:, None, None]
     current = np.array(log_psi(tours), dtype=np.complex128)
     accepted = np.zeros(n_chains, dtype=np.int64)

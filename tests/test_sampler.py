@@ -135,7 +135,7 @@ class TestProposeSwap:
                     q = partners[p, max(counts[p] - 1, 0)]
                     expected = np.arange(n)
                     expected[[p, q]] = expected[[q, p]]
-                    assert np.array_equal(_proposal_order(np.full(3, u_max), n, cfg), expected)
+                    assert np.array_equal(_proposal_order(np.full(4, u_max), n, cfg), expected)
 
 
 def proposal_distribution(state_tuple, cfg, n):
@@ -221,15 +221,16 @@ def assert_run_chains_rejects_all(value):
 
 
 class TestParityOfProposals:
-    def test_even_swap_count_stays_in_one_coset(self):
-        """Each swap is a transposition, so an even n_swaps can only
-        produce even permutations of the start tour."""
+    @pytest.mark.parametrize("n_swaps", [2, 4])
+    def test_even_swap_count_reaches_everything(self, n_swaps):
+        """Each swap is a transposition, but the count is drawn from
+        1..n_swaps, so an even n_swaps still reaches both parity classes:
+        all 3! tours with city 1 pinned."""
         inst = linear_instance(4)
-        cfg = make_cfg(n_chains=2, n_swaps=2, max_swap_len=4, fix_first=True,
+        cfg = make_cfg(n_chains=2, n_swaps=n_swaps, max_swap_len=4, fix_first=True,
                        sample_size=2000, seed=5)
         sample = run_chains(init_chains(inst, cfg), constant_psi, cfg)
-        distinct = {tuple(c) for c in sample.configs}
-        assert len(distinct) == 3  # half of the 3! tours with city 1 pinned
+        assert len({tuple(c) for c in sample.configs}) == 6
 
     def test_odd_swap_count_reaches_everything(self):
         inst = linear_instance(4)

@@ -9,7 +9,7 @@ from helpers import random_symmetric_instance, window_preactivations
 from qtsp import nqs
 from qtsp.encoding import tours_to_sigma
 from qtsp.errors import InvalidTourError
-from qtsp.harness import midpoint_vmc_config
+from qtsp.harness import default_target, midpoint_vmc_config
 from qtsp.instance import Instance, brute_force_optimum, linear_instance, tour_length
 from qtsp.sampler import SamplerConfig, init_chains, run_chains
 from qtsp.vmc import (
@@ -219,6 +219,18 @@ class TestTrain:
         assert all(b1 >= b2 for b1, b2 in zip(best, best[1:]))
         _, optimum = brute_force_optimum(inst)
         assert record.best_energy >= optimum - 1e-9
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_even_swap_count_reaches_optimum_off_start_parity(self, seed):
+        """The midpoint's two swaps per proposal, from a greedy start whose
+        parity coset holds no optimal tour: only proposals with an odd swap
+        count reach the optimum."""
+        inst = random_symmetric_instance(6, 0)
+        cfg = midpoint_vmc_config(6, "qudit", seed=seed, max_steps=400)
+        assert cfg.sampler.n_swaps == 2
+        record = train(inst, cfg, target_energy=default_target(inst))
+        assert record.termination_reason == "target-reached"
+        assert record.best_energy == pytest.approx(brute_force_optimum(inst)[1], abs=1e-9)
 
     def test_best_tour_matches_best_energy(self):
         inst = linear_instance(6)
