@@ -116,16 +116,14 @@ def brute_force_optimum(instance: Instance) -> tuple[np.ndarray, float]:
     n = instance.n_cities
     if n > BRUTE_FORCE_MAX_CITIES:
         raise SizeLimitError(f"brute force limited to N <= {BRUTE_FORCE_MAX_CITIES}, got {n}")
-    if n == 2:
-        order = np.array([1, 2], dtype=np.int64)
-        return order, tour_length(instance, order)
 
     best_order: np.ndarray | None = None
     best_len = np.inf
-    # Reflection canonicalization: keep tours whose second city is smaller
-    # than the last; lengths evaluated in vectorized chunks.
+    # Reflection canonicalization: keep tours whose second city is at most
+    # the last (the same city only at N = 2, whose one tour is its own
+    # reflection); lengths evaluated in vectorized chunks.
     rest = itertools.permutations(range(2, n + 1))
-    canonical = (p for p in rest if p[0] < p[-1])
+    canonical = (p for p in rest if p[0] <= p[-1])
     while True:
         chunk = list(itertools.islice(canonical, _BRUTE_FORCE_CHUNK))
         if not chunk:

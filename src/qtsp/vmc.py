@@ -151,8 +151,7 @@ def derive_init_seed(sampler_seed: int) -> int:
 def build_ansatz(cfg: VmcConfig, n_cities: int) -> Ansatz:
     seed = derive_init_seed(cfg.sampler.seed)
     if cfg.representation == "qudit":
-        if cfg.kernel_size > n_cities:
-            raise ValueError("kernel_size cannot exceed the number of cities")
+        nqs._window_index(n_cities, cfg.kernel_size)  # the kernel <= N check, before any output
         params = nqs.init_params("cnn", (cfg.kernel_size, cfg.n_channels), INIT_SCALE, seed)
         return Ansatz(params, nqs.cnn_log_psi, nqs.cnn_energy_gradient, np.asarray)
     params = nqs.init_params("rbm", (n_cities * n_cities, cfg.n_hidden), INIT_SCALE, seed)
