@@ -33,10 +33,13 @@ def _join(cls, blocks: dict, lead: tuple[int, ...] = ()) -> np.ndarray:
     """Interleave the two parts of every block of cls entry by entry, fields
     in order, each block raveled behind the leading axes `lead`, along the
     last axis. With (Re, Im) parts per block this is the flat layout; with
-    the derivatives of log psi by those parts it is a row of log-derivatives."""
-    return np.concatenate(
-        [np.stack(blocks[f.name], axis=-1).reshape(*lead, -1) for f in fields(cls)], axis=-1
-    )
+    the derivatives of log psi by those parts it is a row of log-derivatives.
+    Each part is copied once, straight into the result."""
+    re, im = zip(*([np.reshape(part, (*lead, -1)) for part in blocks[f.name]] for f in fields(cls)))
+    out = np.empty((*lead, sum(part.shape[-1] for part in re), 2), np.result_type(*re, *im))
+    np.concatenate(re, axis=-1, out=out[..., 0])
+    np.concatenate(im, axis=-1, out=out[..., 1])
+    return out.reshape(*lead, -1)
 
 
 class _FlatLayout:
