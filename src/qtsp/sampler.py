@@ -99,8 +99,7 @@ def _proposal_order(u: np.ndarray, n: int, cfg: SamplerConfig) -> np.ndarray:
     lead, u = u.shape[:-1], u.reshape(-1, u.shape[-1])
     p = first[(u[:, 0:-2:2] * first.shape[0]).astype(np.int64)]
     q = partners[p, (u[:, 1:-2:2] * counts[p]).astype(np.int64)]
-    made = np.arange(cfg.n_swaps) <= (u[:, -2:-1] * cfg.n_swaps).astype(np.int64)
-    q = np.where(made, q, p)
+    np.copyto(q, p, where=u[:, -2:-1] * cfg.n_swaps < np.arange(cfg.n_swaps))
     order = np.tile(np.arange(n), (u.shape[0], 1))
     row_start = np.arange(0, order.size, n)[:, None]
     flat, p, q = order.reshape(-1), p + row_start, q + row_start
