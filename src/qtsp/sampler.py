@@ -92,8 +92,8 @@ def _proposal_order(u: np.ndarray, n: int, cfg: SamplerConfig) -> np.ndarray:
     draws how many of the swaps are made, uniformly from 1..n_swaps, and
     the last column is the accept decision's. A swap past that count, and
     a position without partners (only N=2 with fix_first), swaps with
-    itself. Each swap is a transposition, so counts of both parities reach
-    every tour from any start.
+    itself. Each swap is a transposition and a count of one is always
+    possible, so every tour is reachable from any start.
     """
     first, partners, counts = _proposal_tables(n, cfg.max_swap_len, cfg.fix_first)
     lead, u = u.shape[:-1], u.reshape(-1, u.shape[-1])
