@@ -12,8 +12,6 @@ from .encoding import (
     default_penalties,
     dense_hamiltonian,
     exact_ground_valid_subspace,
-    is_valid_tour,
-    ising_energy,
     qubo_objective,
     qudit_diagonal_energy,
     ring_hamiltonian_element,

@@ -76,18 +76,12 @@ def tours_to_sigma(orders: np.ndarray) -> np.ndarray:
     return sigma.reshape(b, n * n)
 
 
-def qubo_objective(
-    instance: Instance,
-    z: np.ndarray,
-    position_penalty: float = 1.0,
-    city_penalty: float = 1.0,
-) -> float:
+def qubo_objective(instance: Instance, z: np.ndarray) -> float:
     """Quadratic objective over an arbitrary 0/1 matrix z.
 
     Distance term sum_{i,j,a} d_ij z[i,a] z[j,a+1] (slot index cyclic) plus
-    squared one-city-per-slot and one-slot-per-city constraint terms. The
-    penalty coefficients default to 1; they are exposed for experimentation
-    but never matter on the valid-tour manifold where both terms vanish.
+    squared one-city-per-slot and one-slot-per-city constraint terms, each
+    with coefficient 1; both vanish on the valid-tour manifold.
     """
     z = np.asarray(z, dtype=float)
     n = instance.n_cities
@@ -97,32 +91,18 @@ def qubo_objective(
     distance = float(np.einsum("ia,ij,ja->", z, instance.dist, z_next))
     per_slot = float(((z.sum(axis=0) - 1.0) ** 2).sum())
     per_city = float(((z.sum(axis=1) - 1.0) ** 2).sum())
-    return distance + position_penalty * per_slot + city_penalty * per_city
-
-
-def ising_energy(instance: Instance, sigma: np.ndarray) -> float:
-    """Same objective on spins sigma = 2z - 1, by direct substitution."""
-    sigma = np.asarray(sigma, dtype=float)
-    if not np.isin(sigma, (-1.0, 1.0)).all():
-        raise ValueError("spin entries must be -1 or +1")
-    return qubo_objective(instance, (sigma + 1.0) / 2.0)
+    return distance + per_slot + per_city
 
 
 # ---------------------------------------------------------------------------
 # qudit ring
 # ---------------------------------------------------------------------------
 
-def is_valid_tour(config: TourLike) -> bool:
-    """True iff the qudit levels form a permutation of 1..N."""
-    config = np.asarray(config)
-    return is_permutation(config, config.shape[0])
-
-
 def qudit_diagonal_energy(instance: Instance, config: TourLike, pen: PenaltyConfig) -> float:
     """Diagonal element of the globally-penalized Hamiltonian: the cyclic
     tour length on valid configurations, the flat penalty p otherwise."""
     config = np.asarray(config, dtype=np.int64)
-    if not is_valid_tour(config) or config.shape[0] != instance.n_cities:
+    if not is_permutation(config, instance.n_cities):
         return pen.p
     nxt = np.roll(config, -1)
     return float(instance.dist[config - 1, nxt - 1].sum())
@@ -189,7 +169,7 @@ def dense_hamiltonian(instance: Instance, variant: str, pen: PenaltyConfig) -> n
 
     if variant == "eq2":
         lengths = tour_lengths(instance, basis)
-        valid = np.array([is_valid_tour(c) for c in basis])
+        valid = np.array([is_permutation(c, n) for c in basis])
         h = np.full((dim, dim), pen.p)
         np.fill_diagonal(h, np.where(valid, lengths, pen.p))
         return h

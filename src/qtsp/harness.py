@@ -193,7 +193,7 @@ def sweep(
 
     trials = [run_trial(t) for t in range(n_trials)]
 
-    converged_times = [t.time_to_target_s for t in trials if t.converged and t.time_to_target_s is not None]
+    converged_times = [t.time_to_target_s for t in trials if t.converged]
     return SweepSummary(
         n_cities=instance.n_cities,
         representation=representation,

@@ -85,16 +85,11 @@ def is_permutation(order: TourLike, n_cities: int) -> bool:
     return bool(np.array_equal(np.sort(order), np.arange(1, n_cities + 1)))
 
 
-def require_tour(instance: Instance, order: TourLike) -> np.ndarray:
+def tour_length(instance: Instance, order: TourLike) -> float:
+    """Cyclic tour length, closing leg included."""
     order = np.asarray(order, dtype=np.int64)
     if not is_permutation(order, instance.n_cities):
         raise InvalidTourError(f"not a permutation of 1..{instance.n_cities}: {order.tolist()}")
-    return order
-
-
-def tour_length(instance: Instance, order: TourLike) -> float:
-    """Cyclic tour length, closing leg included."""
-    order = require_tour(instance, order)
     nxt = np.roll(order, -1)
     return float(instance.dist[order - 1, nxt - 1].sum())
 

@@ -252,13 +252,14 @@ def _window_index(n: int, k: int) -> np.ndarray:
     return idx
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
 def _cnn_unrolled(params: CnnParams, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The network unrolled over a ring of n levels in real arithmetic:
     levels @ conv + bias are the (B, n*2F) pre-activations [Re | Im] of
     every position (conv scatters [Re w | Im w] onto each position's
     window), and rectified @ dense is the position sum and the dense
-    output neuron. Cached per parameter object, whose arrays are read-only."""
+    output neuron. Cached for the latest parameter object only, as train
+    makes a new one at every step; its arrays are read-only."""
     conv = np.zeros((n, n, 2 * params.n_channels))               # (level, position, 2F)
     conv[_window_index(n, params.kernel_size), np.arange(n)[:, None]] = np.concatenate(
         [params.w.real, params.w.imag], axis=1)

@@ -31,7 +31,6 @@ class SamplerConfig:
     fix_first: bool
     sample_size: int
     seed: int
-    n_warmup: int | None = None  # None -> 10 * n_cities per sampling pass
 
     def __post_init__(self):
         if self.n_chains < 1:
@@ -42,8 +41,6 @@ class SamplerConfig:
             raise ValueError("max_swap_len must be at least 1")
         if self.sample_size < 1 or self.sample_size % self.n_chains:
             raise ValueError("sample_size must be a positive multiple of n_chains")
-        if self.n_warmup is not None and self.n_warmup < 0:
-            raise ValueError("n_warmup must be non-negative")
 
 
 @dataclass
@@ -151,7 +148,7 @@ def mh_step(state: ChainState, log_psi: LogPsiFn, cfg: SamplerConfig) -> ChainSt
 def run_chains(chains: list[ChainState], log_psi: LogPsiFn, cfg: SamplerConfig) -> Sample:
     """Advance all chains and record cfg.sample_size configurations.
 
-    Each chain discards a warm-up prefix and then records its next
+    Each chain discards a warm-up of 10 * N steps, then records its next
     sample_size // n_chains steps, chain-major: configs.reshape(n_chains,
     -1, N)[c] is chain c's trajectory. Cached amplitudes are refreshed at
     the start so the pass is consistent with the current evaluator
@@ -160,7 +157,7 @@ def run_chains(chains: list[ChainState], log_psi: LogPsiFn, cfg: SamplerConfig) 
     """
     tours = np.stack([c.current for c in chains])
     n_chains, n = tours.shape
-    warmup = cfg.n_warmup if cfg.n_warmup is not None else 10 * n
+    warmup = 10 * n
     total = warmup + cfg.sample_size // n_chains
     u = np.stack([c.rng.random((total, 2 * cfg.n_swaps + 2)) for c in chains])
     flat_order = _proposal_order(u, n, cfg) + n * np.arange(n_chains)[:, None, None]

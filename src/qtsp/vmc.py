@@ -96,7 +96,6 @@ class StepStats:
 
 @dataclass(frozen=True)
 class RunRecord:
-    target_energy: float | None
     steps: list[StepStats]
     termination_reason: str
     total_time_s: float
@@ -106,9 +105,7 @@ class RunRecord:
 
     @property
     def converged(self) -> bool:
-        if self.target_energy is None:
-            return False
-        return self.best_energy <= self.target_energy + TARGET_TOL
+        return self.termination_reason == "target-reached"
 
     @property
     def n_steps(self) -> int:
@@ -315,7 +312,6 @@ def train(
 
     total = time.perf_counter() - t0
     record = RunRecord(
-        target_energy=target_energy,
         steps=steps,
         termination_reason=reason,
         total_time_s=total,

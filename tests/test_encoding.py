@@ -14,8 +14,6 @@ from qtsp.encoding import (
     dense_hamiltonian,
     dense_to_csv,
     exact_ground_valid_subspace,
-    is_valid_tour,
-    ising_energy,
     qubo_objective,
     qudit_diagonal_energy,
     ring_hamiltonian_element,
@@ -24,7 +22,7 @@ from qtsp.encoding import (
     twobody_element,
 )
 from qtsp.errors import InvalidTourError, SizeLimitError
-from qtsp.instance import brute_force_optimum, linear_instance, tour_length
+from qtsp.instance import brute_force_optimum, is_permutation, linear_instance, tour_length
 
 PEN = PenaltyConfig(p=1000.0, p_prime=1000.0)
 
@@ -65,45 +63,18 @@ class TestQuboObjective:
         z[0, 0] = z[0, 1] = 1.0
         assert qubo_objective(linear_instance(2), z) == 2.0
 
-    def test_constraint_terms_vanish_on_valid_tours(self):
-        inst = linear_instance(5)
-        rng = np.random.default_rng(4)
-        for _ in range(10):
-            z = tour_to_onehot(random_tour(5, rng))
-            with_pen = qubo_objective(inst, z)
-            without_pen = qubo_objective(inst, z, position_penalty=0.0, city_penalty=0.0)
-            assert with_pen == without_pen
-
     def test_shape_guard(self):
         with pytest.raises(ValueError):
             qubo_objective(linear_instance(3), np.zeros((2, 2)))
 
 
-class TestIsingEnergy:
-    def test_valid_tour(self):
-        inst = linear_instance(4)
-        sigma = 2 * tour_to_onehot([1, 2, 3, 4]) - 1
-        assert ising_energy(inst, sigma) == 6.0
-
-    def test_all_down(self):
-        assert ising_energy(linear_instance(2), -np.ones((2, 2))) == 4.0
-
-    def test_matches_qubo_on_random_matrices(self):
-        inst = linear_instance(3)
-        rng = np.random.default_rng(8)
-        for _ in range(1000):
-            z = rng.integers(0, 2, size=(3, 3))
-            assert ising_energy(inst, 2 * z - 1) == qubo_objective(inst, z)
-
-    def test_rejects_non_spin(self):
-        with pytest.raises(ValueError):
-            ising_energy(linear_instance(2), np.zeros((2, 2)))
-
-
-def test_is_valid_tour():
-    assert is_valid_tour([1, 3, 2, 4])
-    assert not is_valid_tour([1, 1, 2, 3])
-    assert is_valid_tour(list(range(1, 9)))
+def test_is_permutation():
+    assert is_permutation([1, 3, 2, 4], 4)
+    assert not is_permutation([1, 1, 2, 3], 4)
+    assert is_permutation(list(range(1, 9)), 8)
+    assert not is_permutation([1, 3, 2, 4], 5)
+    assert not is_permutation([0, 2, 1, 3], 4)
+    assert not is_permutation([[1, 2, 3, 4]], 4)
 
 
 class TestQuditDiagonal:
@@ -203,7 +174,7 @@ class TestDenseHamiltonian:
         for variant in ("eq2", "eq4"):
             h = dense_hamiltonian(inst, variant, pen)
             for idx, cfg in enumerate(basis):
-                if is_valid_tour(cfg):
+                if is_permutation(cfg, 3):
                     assert h[idx, idx] == pytest.approx(tour_length(inst, cfg), abs=1e-12)
 
     def test_eq4_matches_elementwise_oracle(self):

@@ -57,11 +57,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             make_cfg(n_chains=n_chains, sample_size=sample_size)
 
-    def test_rejects_negative_warmup(self):
-        with pytest.raises(ValueError):
-            make_cfg(n_warmup=-3)
-        assert make_cfg(n_warmup=0).n_warmup == 0
-
 
 class TestInitChains:
     def test_fix_first_starts_at_greedy_tour(self):
@@ -210,12 +205,12 @@ def assert_run_chains_rejects_all(value):
     """run_chains never leaves the start tour when every proposal has log psi
     `value`: neither from a finite cached amplitude nor from one that is
     `value` itself."""
-    cfg = make_cfg(n_chains=3, sample_size=9, fix_first=True, n_warmup=5)
+    cfg = make_cfg(n_chains=3, sample_size=9, fix_first=True)
     start = init_chains(linear_instance(5), cfg)[0].current.copy()
     for log_psi in (amplitude_only_at(start, value), lambda t: np.full(len(t), value)):
         chains = init_chains(linear_instance(5), cfg)
         sample = run_chains(chains, log_psi, cfg)
-        assert sample.n_accepted == 0 and sample.n_proposed == 3 * (5 + 3)
+        assert sample.n_accepted == 0 and sample.n_proposed == 3 * (10 * 5 + 3)
         assert (sample.configs == start).all()
         assert all(np.array_equal(c.current, start) for c in chains)
 
@@ -277,7 +272,7 @@ class TestRunChains:
         evaluator the trajectories must match stepping each chain alone."""
         inst = linear_instance(4)
         cfg = make_cfg(n_chains=3, n_swaps=n_swaps, max_swap_len=2, sample_size=sample_size,
-                       seed=11, n_warmup=5)
+                       seed=11)
         f = lambda t: np.array([0.1 * float(row @ np.arange(1, 5)) + 0.05j * row[0]
                                 for row in t])
         batched_chains = init_chains(inst, cfg)
@@ -288,9 +283,9 @@ class TestRunChains:
         configs = []
         for chain, v in zip(chains, values):
             chain.log_psi_current = complex(v)
-            for step in range(5 + sample_size // 3):
+            for step in range(10 * 4 + sample_size // 3):
                 mh_step(chain, f, cfg)
-                if step >= 5:
+                if step >= 40:
                     configs.append(chain.current.copy())
         assert np.array_equal(batched.configs, np.stack(configs))
         assert batched.n_proposed == sum(c.n_proposed for c in chains)
@@ -335,7 +330,7 @@ def sampler_configs(draw):
         n_chains=n_chains, n_swaps=draw(st.integers(1, 5)),
         max_swap_len=draw(st.integers(1, n)), fix_first=draw(st.booleans()),
         sample_size=n_chains * draw(st.integers(1, 4)),
-        seed=draw(st.integers(0, 2**32 - 1)), n_warmup=draw(st.integers(0, 5)))
+        seed=draw(st.integers(0, 2**32 - 1)))
     return n, cfg
 
 

@@ -275,6 +275,17 @@ class TestTrain:
         record = train(linear_instance(5), cfg)
         assert record.n_steps == 5
 
+    def test_unrolled_cnn_cache_keeps_only_current_params(self):
+        """train makes new parameters at every step, so older circulants are
+        never read again and the cache holds one entry."""
+        from dataclasses import replace
+
+        nqs._cnn_unrolled.cache_clear()
+        cfg = replace(midpoint_vmc_config(6, "qudit", seed=2, max_steps=10),
+                      prune_no_improve_steps=1000)
+        assert train(linear_instance(6), cfg).n_steps == 10
+        assert nqs._cnn_unrolled.cache_info().currsize == 1
+
 
 class TestBuildAnsatz:
     def test_qudit_shapes(self):
