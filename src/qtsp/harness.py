@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import statistics
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -200,7 +199,7 @@ def sweep(
         n_trials=n_trials,
         trials=trials,
         percent_converged=100.0 * sum(t.converged for t in trials) / n_trials,
-        median_time_to_target_s=statistics.median(converged_times) if converged_times else None,
+        median_time_to_target_s=float(np.median(converged_times)) if converged_times else None,
     )
 
 

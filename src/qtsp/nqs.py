@@ -178,11 +178,16 @@ def log_2cosh(z: np.ndarray) -> np.ndarray:
 
 def _rbm_theta(params: RbmParams, sigmas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A (B, n_visible) spin batch as floats, and its hidden-unit arguments
-    theta = W sigma + b, (B, n_hidden)."""
+    theta = W sigma + b, (B, n_hidden). The real batch meets Re W and Im W
+    in two real GEMMs, so it is never cast to complex."""
     sigmas = np.asarray(sigmas, dtype=float)
     if sigmas.ndim != 2 or sigmas.shape[1] != params.n_visible:
         raise ValueError(f"expected (B, {params.n_visible}) spin batch, got {sigmas.shape}")
-    return sigmas, sigmas @ params.w.T + params.b
+    theta = np.empty((sigmas.shape[0], params.n_hidden), dtype=np.complex128)
+    np.matmul(sigmas, params.w.real.T, out=theta.real)
+    np.matmul(sigmas, params.w.imag.T, out=theta.imag)
+    theta += params.b
+    return sigmas, theta
 
 
 def rbm_log_psi(params: RbmParams, sigma: np.ndarray) -> complex | np.ndarray:
@@ -192,7 +197,9 @@ def rbm_log_psi(params: RbmParams, sigma: np.ndarray) -> complex | np.ndarray:
     """
     sigma = np.asarray(sigma, dtype=float)
     sig, theta = _rbm_theta(params, sigma.reshape(-1, sigma.shape[-1]))
-    value = sig @ params.a + log_2cosh(theta).sum(axis=1)
+    value = log_2cosh(theta).sum(axis=1)
+    value.real += sig @ params.a.real
+    value.imag += sig @ params.a.imag
     return complex(value[0]) if sigma.ndim == 1 else value
 
 
@@ -229,12 +236,18 @@ def rbm_energy_gradient(params: RbmParams, sigmas: np.ndarray, energies: np.ndar
     With conj t = conj(tanh theta) the complex sums are c^T sigma for a,
     c^T conj t for b and (c * conj t)^T sigma for W; since the amplitude is
     holomorphic, the (Re, Im) entries of each block are 2 Re G and 2 Im G.
+    The 2 is folded into c, and every sum is a real product of the real
+    batch with the real or imaginary part of conj t.
     """
     sigmas, theta = _rbm_theta(params, sigmas)
     c = _centred_weights(energies, sigmas.shape[0])
+    c *= 2.0
     t = np.conj(np.tanh(theta, out=theta), out=theta)        # (B, H), in theta's buffer
-    g = {"a": c @ sigmas, "b": c @ t, "w": (c[:, None] * t).T @ sigmas}
-    return 2.0 * _join(RbmParams, {name: (v.real, v.imag) for name, v in g.items()})
+    g_a = c @ sigmas
+    g = {"a": (g_a, np.zeros_like(g_a)), "b": (c @ t.real, c @ t.imag)}
+    t *= c[:, None]
+    g["w"] = (t.real.T @ sigmas, t.imag.T @ sigmas)
+    return _join(RbmParams, g)
 
 
 # ---------------------------------------------------------------------------
@@ -332,14 +345,19 @@ def cnn_energy_gradient(params: CnnParams, configs: np.ndarray, energies: np.nda
     k, f = params.kernel_size, params.n_channels
     c = _centred_weights(energies, batch)
     conv, bias, _ = _cnn_unrolled(params, n)
-    pre = (configs @ conv + bias).reshape(batch * n, 2 * f)
-    mask = pre > 0
+    pre = configs @ conv
+    pre += bias
+    pre = pre.reshape(batch * n, 2 * f)
     pooled = np.maximum(pre, 0.0, out=pre).reshape(batch, n, 2 * f).sum(axis=1)   # (B, 2F)
+    mask = np.greater(pre, 0.0, out=pre)                      # 0/1 floats, NaN -> 0
 
-    windows = configs[:, _window_index(n, k)].reshape(batch * n, k)
-    weighted = np.repeat(c, n)[:, None] * np.column_stack([windows, np.ones(batch * n)])
+    weighted = np.empty((batch, n, k + 1))
+    weighted[:, :, :k] = configs[:, _window_index(n, k)]
+    weighted[:, :, k] = 1.0
+    weighted *= c[:, None, None]
     sign = np.repeat([2.0, -2.0], f)
-    g = (weighted.T @ mask) * (sign * np.concatenate([params.dense_w.real, params.dense_w.imag]))
+    g = (weighted.reshape(batch * n, k + 1).T @ mask) * (
+        sign * np.concatenate([params.dense_w.real, params.dense_w.imag]))
     g_dense = sign * (c @ pooled)
     return _join(CnnParams, {"w": [g[:k, :f], g[:k, f:]], "b": [g[k, :f], g[k, f:]],
                              "dense_w": [g_dense[:f], g_dense[f:]], "dense_b": [2.0 * c.sum(), 0.0]})

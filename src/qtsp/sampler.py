@@ -160,7 +160,8 @@ def run_chains(chains: list[ChainState], log_psi: LogPsiFn, cfg: SamplerConfig) 
     warmup = 10 * n
     total = warmup + cfg.sample_size // n_chains
     u = np.stack([c.rng.random((total, 2 * cfg.n_swaps + 2)) for c in chains])
-    flat_order = _proposal_order(u, n, cfg) + n * np.arange(n_chains)[:, None, None]
+    flat_order = _proposal_order(u, n, cfg)
+    flat_order += n * np.arange(n_chains)[:, None, None]
     current = np.array(log_psi(tours), dtype=np.complex128)
     accepted = np.zeros(n_chains, dtype=np.int64)
     configs = np.empty((n_chains, total - warmup, n), dtype=tours.dtype)

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from helpers import finite_difference, kink_free_cnn_params, window_preactivations
 from qtsp import nqs
@@ -101,6 +104,34 @@ class TestRbmLogPsi:
         params = nqs.init_params("rbm", (4, 2), 0.3, 9)
         sigma = np.array([1.0, 1.0, -1.0, 1.0])
         assert nqs.rbm_log_psi(params, sigma) == nqs.rbm_log_psi(params, sigma)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), visible=st.integers(1, 16), hidden=st.integers(1, 8),
+           batch=st.integers(1, 8), scale=st.sampled_from([0.0, 0.02, 1.0]),
+           seed=st.integers(0, 2**32 - 1), spins=st.booleans())
+    def test_real_products_match_complex_formula(self, data, visible, hidden, batch, scale, seed,
+                                                 spins):
+        """theta and log psi from real products of the real batch agree with
+        the complex formula, within 1e-12 of the summed terms' magnitude."""
+        params = nqs.init_params("rbm", (visible, hidden), scale, seed)
+        if spins:
+            sigmas = random_spins((batch, visible), np.random.default_rng(seed))
+        else:
+            sigmas = data.draw(arrays(np.float64, (batch, visible),
+                                      elements=st.floats(-4.0, 4.0)), label="sigmas")
+        theta = sigmas.astype(complex) @ params.w.T + params.b
+        log_psi = sigmas.astype(complex) @ params.a + nqs.log_2cosh(theta).sum(axis=1)
+        theta_size = np.abs(sigmas) @ np.abs(params.w).T + np.abs(params.b)
+        log_psi_size = np.abs(sigmas) @ np.abs(params.a) + theta_size.sum(axis=1)
+
+        got_sigmas, got_theta = nqs._rbm_theta(params, sigmas)
+        assert np.array_equal(got_sigmas, sigmas)
+        assert np.all(np.abs(got_theta - theta) <= 1e-12 * np.maximum(1.0, theta_size))
+        got = nqs.rbm_log_psi(params, sigmas)
+        assert np.all(np.abs(got - log_psi) <= 1e-12 * np.maximum(1.0, log_psi_size))
+        single = nqs.rbm_log_psi(params, sigmas[0])
+        assert isinstance(single, complex)
+        assert abs(single - log_psi[0]) <= 1e-12 * max(1.0, log_psi_size[0])
 
 
 def rbm_blocks(row, m, h):
@@ -359,6 +390,45 @@ class TestEnergyGradient:
             nqs.cnn_energy_gradient(cnn, configs, np.ones(2))
         with pytest.raises(ValueError):
             nqs.cnn_energy_gradient(cnn, configs[0], np.ones(2))
+
+
+def traced_peak(fn, *args) -> int:
+    """Bytes of the tracemalloc peak of fn(*args), after one call that
+    fills the caches."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestGradientMemory:
+    """The covariance gradients hold no complex or second copy of the
+    sample batch (N=12, B=512, midpoint shapes)."""
+
+    n, batch = 12, 512
+
+    def _tours(self, rng):
+        return np.stack([rng.permutation(np.arange(1, self.n + 1)) for _ in range(self.batch)])
+
+    def test_rbm_peak_below_a_quarter_over_the_spin_batch(self):
+        rng = np.random.default_rng(0)
+        params = nqs.init_params("rbm", (self.n ** 2, 2 * self.n), 0.05, 0)
+        sigmas = tours_to_sigma(self._tours(rng))
+        energies = rng.uniform(0.0, 100.0, self.batch)
+        # a complex copy of sigmas alone is 2 x sigmas.nbytes
+        assert traced_peak(nqs.rbm_energy_gradient, params, sigmas, energies) < 1.25 * sigmas.nbytes
+
+    def test_cnn_peak_below_two_and_a_half_preactivation_arrays(self):
+        rng = np.random.default_rng(0)
+        kernel, channels = 3, 4
+        params = nqs.init_params("cnn", (kernel, channels), 0.3, 0)
+        configs = self._tours(rng).astype(float)
+        energies = rng.uniform(0.0, 100.0, self.batch)
+        preactivations = self.batch * self.n * 2 * channels * 8   # (B, N * 2F) float64 bytes
+        assert traced_peak(nqs.cnn_energy_gradient, params, configs, energies) < 2.5 * preactivations
 
 
 class TestInitParams:
