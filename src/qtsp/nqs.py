@@ -244,10 +244,10 @@ def rbm_energy_gradient(params: RbmParams, sigmas: np.ndarray, energies: np.ndar
     c *= 2.0
     t = np.conj(np.tanh(theta, out=theta), out=theta)        # (B, H), in theta's buffer
     g_a = c @ sigmas
-    g = {"a": (g_a, np.zeros_like(g_a)), "b": (c @ t.real, c @ t.imag)}
-    t *= c[:, None]
-    g["w"] = (t.real.T @ sigmas, t.imag.T @ sigmas)
-    return _join(RbmParams, g)
+    g_b = (c @ t.real, c @ t.imag)
+    t *= c[:, None]                                          # c conj t
+    return _join(RbmParams, {"a": (g_a, np.zeros_like(g_a)), "b": g_b,
+                             "w": (t.real.T @ sigmas, t.imag.T @ sigmas)})
 
 
 # ---------------------------------------------------------------------------
