@@ -63,17 +63,33 @@ def tour_to_onehot(order: TourLike) -> np.ndarray:
     return z
 
 
+def spin_columns(orders: np.ndarray) -> np.ndarray:
+    """The (B, N) indices of the up spins of a (B, N) batch of tours in the
+    row-major (city, slot) spin layout: (city - 1) * N + slot. Raises
+    ValueError naming a label outside 1..N."""
+    orders = np.asarray(orders, dtype=np.int64)
+    if orders.ndim != 2:
+        raise ValueError(f"expected a (B, N) batch of tours, got shape {orders.shape}")
+    n = orders.shape[1]
+    if orders.size:
+        lo, hi = orders.min(), orders.max()
+        if lo < 1 or hi > n:
+            raise ValueError(f"tour label {lo if lo < 1 else hi} outside 1..{n}")
+    return (orders - 1) * n + np.arange(n)
+
+
 def tours_to_sigma(orders: np.ndarray) -> np.ndarray:
     """Map a (B, N) batch of tours to (B, N^2) spin vectors in {-1, +1}.
 
-    Row-major flattening of the (city, slot) one-hot matrix; this is the
-    input layout the spin-network ansatz sees.
+    Row-major flattening of the (city, slot) one-hot matrix: the input
+    layout of the spin network, whose tour entries in `qtsp.nqs` read the
+    up spins' columns instead of building this batch.
     """
-    orders = np.asarray(orders, dtype=np.int64)
-    b, n = orders.shape
-    sigma = np.full((b, n, n), -1.0)
-    sigma[np.arange(b)[:, None], orders - 1, np.arange(n)[None, :]] = 1.0
-    return sigma.reshape(b, n * n)
+    columns = spin_columns(orders)
+    b, n = columns.shape
+    sigma = np.full((b, n * n), -1.0)
+    sigma[np.arange(b)[:, None], columns] = 1.0
+    return sigma
 
 
 def qubo_objective(instance: Instance, z: np.ndarray) -> float:

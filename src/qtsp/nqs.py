@@ -24,6 +24,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .encoding import spin_columns
+
 
 # ---------------------------------------------------------------------------
 # the flat layout and the parameter containers
@@ -164,16 +166,20 @@ def _single_row(log_derivatives, params: NetworkParams, config: np.ndarray) -> L
 # spin network
 # ---------------------------------------------------------------------------
 
-def log_2cosh(z: np.ndarray) -> np.ndarray:
+def log_2cosh(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Overflow-safe log(2 cosh z) for complex z.
 
     Uses cosh(-z) = cosh(z) to flip onto Re z >= 0, then
-    z + log1p(exp(-2z)), which never overflows.
+    z + log1p(exp(-2z)), which never overflows. Works in the result and
+    one scratch array of z's size; out may be z itself when the caller no
+    longer needs z.
     """
     z = np.asarray(z, dtype=np.complex128)
-    flip = np.where(z.real < 0, -1.0, 1.0)
-    s = z * flip
-    return s + np.log1p(np.exp(-2.0 * s))
+    flip = np.where(z.real < 0, -1 + 0j, 1 + 0j)          # the complex factor onto Re z >= 0
+    s = np.multiply(z, flip, out=out)
+    tail = np.multiply(-2.0, s, out=flip)
+    np.log1p(np.exp(tail, out=tail), out=tail)
+    return np.add(s, tail, out=s)
 
 
 def _rbm_theta(params: RbmParams, sigmas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -197,7 +203,7 @@ def rbm_log_psi(params: RbmParams, sigma: np.ndarray) -> complex | np.ndarray:
     """
     sigma = np.asarray(sigma, dtype=float)
     sig, theta = _rbm_theta(params, sigma.reshape(-1, sigma.shape[-1]))
-    value = log_2cosh(theta).sum(axis=1)
+    value = log_2cosh(theta, out=theta).sum(axis=1)
     value.real += sig @ params.a.real
     value.imag += sig @ params.a.imag
     return complex(value[0]) if sigma.ndim == 1 else value
@@ -229,25 +235,90 @@ def _centred_weights(energies: np.ndarray, batch: int) -> np.ndarray:
     return (shifted - shifted.mean()) / batch
 
 
-def rbm_energy_gradient(params: RbmParams, sigmas: np.ndarray, energies: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=1)
+def _rbm_columns(params: RbmParams) -> tuple[np.ndarray, np.ndarray, complex]:
+    """The spin network on tours. A tour's spins sigma = 2z - 1 have N of
+    their N^2 entries up, so W sigma + b = 2 (the sum of the N up columns of
+    W) + b - W 1, and a . sigma = 2 (the sum of the N up entries of a) - sum a.
+    Holds W's columns as the rows of a contiguous (n_visible, n_hidden)
+    array, b - W 1 and sum a. Cached for the latest parameter object only,
+    as train makes a new one at every step; its arrays are read-only."""
+    columns = np.ascontiguousarray(params.w.T)
+    offset = params.b - params.w.sum(axis=1)
+    for array in (columns, offset):
+        array.setflags(write=False)
+    return columns, offset, complex(params.a.sum())
+
+
+def _tour_columns(params: RbmParams, tours: np.ndarray) -> np.ndarray:
+    """The (B, N) up-spin columns of a tour batch (encoding.spin_columns),
+    once its N^2 spins are checked against the network's visible units."""
+    shape = np.shape(tours)
+    if len(shape) != 2 or shape[1] ** 2 != params.n_visible:
+        raise ValueError(f"expected (B, {params.n_visible}) spin batch as "
+                         f"(B, {math.isqrt(params.n_visible)}) tours, got {shape}")
+    return spin_columns(tours)
+
+
+def rbm_tour_log_psi(params: RbmParams, tours: np.ndarray) -> np.ndarray:
+    """log psi of a (B, N) batch of tours: rbm_log_psi of their one-hot
+    spins (encoding.tours_to_sigma), from the N up columns of each tour.
+    The (B, N, n_hidden) gather is small at the sampler's batch size."""
+    idx = _tour_columns(params, tours)
+    columns, offset, a_sum = _rbm_columns(params)
+    theta = columns[idx].sum(axis=1)
+    theta *= 2.0
+    theta += offset
+    value = log_2cosh(theta, out=theta).sum(axis=1)
+    value += 2.0 * params.a[idx].sum(axis=1) - a_sum
+    return value
+
+
+def rbm_tour_energy_gradient(params: RbmParams, tours: np.ndarray,
+                             energies: np.ndarray) -> np.ndarray:
     """Flat real covariance gradient 2 Re sum_b c_b conj(O_b), c = (E - mean E) / S,
-    without the (B, 2P) log-derivative matrix.
+    of a (B, N) tour batch, with no (B, 2P) log-derivative matrix and no
+    (B, N^2) spin batch.
 
     With conj t = conj(tanh theta) the complex sums are c^T sigma for a,
     c^T conj t for b and (c * conj t)^T sigma for W; since the amplitude is
-    holomorphic, the (Re, Im) entries of each block are 2 Re G and 2 Im G.
-    The 2 is folded into c, and every sum is a real product of the real
-    batch with the real or imaginary part of conj t.
+    holomorphic, the (Re, Im) entries of each block are 2 Re G and 2 Im G,
+    and the 2 is folded into c. A sum over sigma is the sum over sigma + 1,
+    which is 2 on the up spins, less the sum over all samples. Slot by
+    slot, the (B, N) one-hot of the cities there gives that slot's columns
+    of the a and W blocks, written straight into the flat result.
     """
-    sigmas, theta = _rbm_theta(params, sigmas)
-    c = _centred_weights(energies, sigmas.shape[0])
+    idx = _tour_columns(params, tours)
+    batch, n = idx.shape
+    c = _centred_weights(energies, batch)
     c *= 2.0
-    t = np.conj(np.tanh(theta, out=theta), out=theta)        # (B, H), in theta's buffer
-    g_a = c @ sigmas
-    g_b = (c @ t.real, c @ t.imag)
-    t *= c[:, None]                                          # c conj t
-    return _join(RbmParams, {"a": (g_a, np.zeros_like(g_a)), "b": g_b,
-                             "w": (t.real.T @ sigmas, t.imag.T @ sigmas)})
+    columns, offset, _ = _rbm_columns(params)
+    theta = columns[idx[:, 0]]                                  # one slot at a time: no (B, N, H) gather
+    for s in range(1, n):
+        theta += columns[idx[:, s]]
+    theta *= 2.0
+    theta += offset
+    np.conj(np.tanh(theta, out=theta), out=theta)               # conj t, in theta's buffer
+
+    out = np.empty(params.n_real_params)
+    m = params.n_visible
+    g_a, g_b, g_w = np.split(out.view(np.complex128), [m, m + params.n_hidden])
+    g_w = g_w.reshape(params.n_hidden, n, n)                    # (hidden, city, slot)
+    g_b.real = c @ theta.real
+    g_b.imag = c @ theta.imag
+    t = theta.view(np.float64)                                  # (B, 2H), Re and Im side by side
+    t *= c[:, None]                                             # c conj t
+    up = np.empty((batch, n))
+    rows = np.arange(batch)
+    for s in range(n):
+        up.fill(0.0)
+        up[rows, idx[:, s] // n] = 2.0                          # slot s of sigma + 1
+        g_a.real[s::n] = c @ up
+        g_w[:, :, s] = (up.T @ t).view(np.complex128).T
+    g_a.real -= c.sum()
+    g_a.imag = 0.0
+    g_w -= g_b[:, None, None]
+    return out
 
 
 # ---------------------------------------------------------------------------

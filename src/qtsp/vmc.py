@@ -18,7 +18,6 @@ from typing import Callable
 import numpy as np
 
 from . import nqs
-from .encoding import tours_to_sigma
 from .errors import InvalidTourError
 from .instance import Instance, tour_lengths
 from .sampler import SamplerConfig, init_chains, run_chains
@@ -117,21 +116,19 @@ class RunRecord:
 # ---------------------------------------------------------------------------
 
 class Ansatz:
-    """A network on encoded tours: the levels for the convolutional network,
-    the one-hot spins for the spin network."""
+    """A network on (B, N) tour batches: the convolutional network reads
+    the levels, the spin network the up columns of the one-hot spins."""
 
-    def __init__(self, params: nqs.NetworkParams, log_psi: Callable,
-                 energy_gradient: Callable, encode: Callable[[np.ndarray], np.ndarray]):
+    def __init__(self, params: nqs.NetworkParams, log_psi: Callable, energy_gradient: Callable):
         self.params = params
         self._log_psi = log_psi
         self._energy_gradient = energy_gradient
-        self._encode = encode
 
     def log_psi_tours(self, tours: np.ndarray) -> np.ndarray:
-        return np.asarray(self._log_psi(self.params, self._encode(tours)))
+        return np.asarray(self._log_psi(self.params, tours))
 
     def energy_gradient(self, tours: np.ndarray, energies: np.ndarray) -> np.ndarray:
-        return self._energy_gradient(self.params, self._encode(tours), energies)
+        return self._energy_gradient(self.params, tours, energies)
 
     def get_flat(self) -> np.ndarray:
         return self.params.to_flat()
@@ -150,9 +147,9 @@ def build_ansatz(cfg: VmcConfig, n_cities: int) -> Ansatz:
     if cfg.representation == "qudit":
         nqs._window_index(n_cities, cfg.kernel_size)  # the kernel <= N check, before any output
         params = nqs.init_params("cnn", (cfg.kernel_size, cfg.n_channels), INIT_SCALE, seed)
-        return Ansatz(params, nqs.cnn_log_psi, nqs.cnn_energy_gradient, np.asarray)
+        return Ansatz(params, nqs.cnn_log_psi, nqs.cnn_energy_gradient)
     params = nqs.init_params("rbm", (n_cities * n_cities, cfg.n_hidden), INIT_SCALE, seed)
-    return Ansatz(params, nqs.rbm_log_psi, nqs.rbm_energy_gradient, tours_to_sigma)
+    return Ansatz(params, nqs.rbm_tour_log_psi, nqs.rbm_tour_energy_gradient)
 
 
 # ---------------------------------------------------------------------------
@@ -206,18 +203,30 @@ def estimate_gradient(
 def adam_update(
     state: AdamState, params: np.ndarray, grad: np.ndarray, cfg: VmcConfig
 ) -> tuple[AdamState, np.ndarray]:
-    """One bias-corrected Adam step on the flat real parameter vector."""
+    """One bias-corrected Adam step on the flat real parameter vector.
+
+    Leaves its inputs as they are and holds four parameter-sized arrays:
+    the two moments, the new parameters and one scratch array."""
     grad = np.asarray(grad, dtype=float)
     if grad.shape != params.shape:
         raise ValueError(f"gradient shape {grad.shape} does not match params {params.shape}")
     if not np.all(np.isfinite(grad)):
         raise ValueError(f"non-finite gradient at Adam step {state.step_count + 1}")
     t = state.step_count + 1
-    m = ADAM_BETA1 * state.first_moment + (1 - ADAM_BETA1) * grad
-    v = ADAM_BETA2 * state.second_moment + (1 - ADAM_BETA2) * grad * grad
-    m_hat = m / (1 - ADAM_BETA1 ** t)
-    v_hat = v / (1 - ADAM_BETA2 ** t)
-    new_params = params - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    scratch = np.multiply(1 - ADAM_BETA1, grad)
+    m = np.multiply(ADAM_BETA1, state.first_moment)
+    m += scratch                                            # b1 m + (1 - b1) g
+    np.multiply(1 - ADAM_BETA2, grad, out=scratch)
+    scratch *= grad
+    v = np.multiply(ADAM_BETA2, state.second_moment)
+    v += scratch                                            # b2 v + (1 - b2) g g
+    new_params = np.divide(v, 1 - ADAM_BETA2 ** t)
+    np.sqrt(new_params, out=new_params)
+    new_params += ADAM_EPS                                  # sqrt(v_hat) + eps
+    np.divide(m, 1 - ADAM_BETA1 ** t, out=scratch)
+    np.multiply(cfg.learning_rate, scratch, out=scratch)   # lr m_hat
+    np.divide(scratch, new_params, out=scratch)
+    np.subtract(params, scratch, out=new_params)
     return AdamState(first_moment=m, second_moment=v, step_count=t), new_params
 
 

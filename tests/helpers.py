@@ -1,6 +1,7 @@
 """Shared test utilities: random instances, random tours, small oracles."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 
@@ -61,3 +62,15 @@ def kink_free_cnn_params(shape, scale, configs, margin=5e-3, start_seed=0):
         if min(np.abs(pre.real).min(), np.abs(pre.imag).min()) > margin:
             return params
     raise AssertionError("no kink-free parameter draw found")
+
+
+def traced_peak(fn, *args) -> int:
+    """Bytes of the tracemalloc peak of fn(*args), after one call that
+    fills the caches."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

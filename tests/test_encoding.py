@@ -239,6 +239,12 @@ class TestEncodingEquivalence:
             expected = (2 * tour_to_onehot(tour) - 1).reshape(-1)
             assert np.array_equal(row, expected)
 
+    @pytest.mark.parametrize("tours,label", [([[0, 2, 3]], 0), ([[1, 2, 3], [3, 4, 1]], 4)])
+    def test_tours_to_sigma_names_a_label_outside_one_to_n(self, tours, label):
+        """Label 0 would otherwise index city N's spin."""
+        with pytest.raises(ValueError, match=f"tour label {label} outside 1..3"):
+            tours_to_sigma(tours)
+
 
 def test_dense_to_csv_round_trips():
     inst = linear_instance(2)

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import mpmath as mp
 import numpy as np
 import pytest
@@ -7,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import finite_difference, kink_free_cnn_params, window_preactivations
+from helpers import finite_difference, kink_free_cnn_params, traced_peak, window_preactivations
 from qtsp import nqs
 from qtsp.encoding import tours_to_sigma
 from qtsp.vmc import estimate_gradient
@@ -93,9 +91,11 @@ class TestRbmLogPsi:
     @pytest.mark.parametrize("evaluate", [
         nqs.rbm_log_psi,
         nqs.rbm_log_derivatives,
-        lambda params, sigmas: nqs.rbm_energy_gradient(params, sigmas, np.arange(len(sigmas))),
-    ], ids=["log_psi", "log_derivatives", "energy_gradient"])
+        lambda params, tours: nqs.rbm_tour_energy_gradient(params, tours, np.arange(len(tours))),
+        nqs.rbm_tour_log_psi,
+    ], ids=["log_psi", "log_derivatives", "energy_gradient", "tour_log_psi"])
     def test_dimension_mismatch_every_entry_point(self, evaluate):
+        """Five spins for a four-spin network; as tours, five cities for two."""
         params = nqs.init_params("rbm", (4, 2), 0.1, 0)
         with pytest.raises(ValueError, match=r"expected \(B, 4\) spin batch"):
             evaluate(params, np.ones((2, 5)))
@@ -132,6 +132,51 @@ class TestRbmLogPsi:
         single = nqs.rbm_log_psi(params, sigmas[0])
         assert isinstance(single, complex)
         assert abs(single - log_psi[0]) <= 1e-12 * max(1.0, log_psi_size[0])
+
+    def test_log_2cosh_matches_the_textbook_steps_bit_for_bit(self):
+        """One scratch array and in-place ufuncs give the bits of the
+        allocate-per-step formula, on random and on special values."""
+        special = [0.0, -0.0, 1e-300, -5e-324, 1.0, -1.0, 700.0, -700.0, np.inf, -np.inf, np.nan]
+        rng = np.random.default_rng(4)
+        z = np.concatenate([np.array([complex(x, y) for x in special for y in special]),
+                            3 * rng.normal(size=484) + 3j * rng.normal(size=484)]).reshape(-1, 11)
+        with np.errstate(all="ignore"):
+            flip = np.where(z.real < 0, -1.0, 1.0)
+            s = z * flip
+            expected = (s + np.log1p(np.exp(-2.0 * s))).tobytes()
+            given = z.copy()
+            assert nqs.log_2cosh(given).tobytes() == expected
+            assert given.tobytes() == z.tobytes()
+            assert nqs.log_2cosh(given, out=given) is given
+        assert given.tobytes() == expected
+
+
+class TestRbmTours:
+    """The tour entries read the up columns of the one-hot spins."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 12), batch=st.integers(1, 64), hidden=st.integers(1, 24),
+           scale=st.sampled_from([0.0, 0.02, 1.0]), seed=st.integers(0, 2**32 - 1))
+    @example(n=12, batch=64, hidden=24, scale=0.02, seed=0)
+    def test_log_psi_matches_the_spin_batch(self, n, batch, hidden, scale, seed):
+        """Within 1e-12 of the summed terms' magnitude."""
+        rng = np.random.default_rng(seed)
+        params = nqs.init_params("rbm", (n * n, hidden), scale, seed)
+        tours = np.stack([rng.permutation(np.arange(1, n + 1)) for _ in range(batch)])
+        size = np.abs(params.a).sum() + (np.abs(params.w).sum(axis=1) + np.abs(params.b)).sum()
+        got = nqs.rbm_tour_log_psi(params, tours)
+        assert got.shape == (batch,)
+        np.testing.assert_allclose(got, nqs.rbm_log_psi(params, tours_to_sigma(tours)),
+                                   rtol=0, atol=1e-12 * max(1.0, size))
+
+    @pytest.mark.parametrize("label", [0, 4, -1])
+    def test_labels_outside_one_to_n_are_named(self, label):
+        params = nqs.init_params("rbm", (9, 2), 0.1, 0)
+        tours = np.array([[1, 2, 3], [3, label, 1]])
+        with pytest.raises(ValueError, match=f"tour label {label} outside 1..3"):
+            nqs.rbm_tour_log_psi(params, tours)
+        with pytest.raises(ValueError, match=f"tour label {label} outside 1..3"):
+            nqs.rbm_tour_energy_gradient(params, tours, np.ones(2))
 
 
 def rbm_blocks(row, m, h):
@@ -353,11 +398,10 @@ class TestEnergyGradient:
     def test_rbm_matches_oracle(self, n, batch, hidden, scale, seed, constant):
         rng = np.random.default_rng(seed)
         params = nqs.init_params("rbm", (n * n, hidden), scale, seed)
-        sigmas = tours_to_sigma(np.stack([rng.permutation(np.arange(1, n + 1))
-                                          for _ in range(batch)]))
+        tours = np.stack([rng.permutation(np.arange(1, n + 1)) for _ in range(batch)])
         energies = _random_energies(rng, batch, constant)
-        o_matrix = nqs.rbm_log_derivatives(params, sigmas)
-        _assert_matches_oracle(nqs.rbm_energy_gradient(params, sigmas, energies),
+        o_matrix = nqs.rbm_log_derivatives(params, tours_to_sigma(tours))
+        _assert_matches_oracle(nqs.rbm_tour_energy_gradient(params, tours, energies),
                                estimate_gradient(energies, o_matrix), energies, o_matrix, constant)
 
     @settings(max_examples=40, deadline=None)
@@ -380,46 +424,42 @@ class TestEnergyGradient:
     def test_shape_guards(self):
         rbm = nqs.init_params("rbm", (4, 2), 0.1, 0)
         cnn = nqs.init_params("cnn", (2, 2), 0.1, 0)
-        sigmas = np.ones((3, 4))
         configs = np.array([[1.0, 2.0], [2.0, 1.0], [1.0, 2.0]])
         with pytest.raises(ValueError):
-            nqs.rbm_energy_gradient(rbm, sigmas, np.ones(4))
+            nqs.rbm_tour_energy_gradient(rbm, configs, np.ones(4))
         with pytest.raises(ValueError):
-            nqs.rbm_energy_gradient(rbm, sigmas[:1], np.ones(1))
+            nqs.rbm_tour_energy_gradient(rbm, configs[:1], np.ones(1))
         with pytest.raises(ValueError):
             nqs.cnn_energy_gradient(cnn, configs, np.ones(2))
         with pytest.raises(ValueError):
             nqs.cnn_energy_gradient(cnn, configs[0], np.ones(2))
 
 
-def traced_peak(fn, *args) -> int:
-    """Bytes of the tracemalloc peak of fn(*args), after one call that
-    fills the caches."""
-    fn(*args)
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestGradientMemory:
     """The covariance gradients hold no complex or second copy of the
-    sample batch (N=12, B=512, midpoint shapes)."""
+    sample batch, and the spin network's holds no spin batch at all
+    (N=12, B=512, midpoint shapes)."""
 
     n, batch = 12, 512
 
     def _tours(self, rng):
         return np.stack([rng.permutation(np.arange(1, self.n + 1)) for _ in range(self.batch)])
 
-    def test_rbm_peak_below_a_quarter_over_the_spin_batch(self):
+    def test_rbm_peak_below_the_spin_batch(self):
+        rng = np.random.default_rng(0)
+        params = nqs.init_params("rbm", (self.n ** 2, 2 * self.n), 0.05, 0)
+        tours = self._tours(rng)
+        energies = rng.uniform(0.0, 100.0, self.batch)
+        assert (traced_peak(nqs.rbm_tour_energy_gradient, params, tours, energies)
+                < tours_to_sigma(tours).nbytes)
+
+    def test_rbm_log_psi_peak_within_two_and_a_half_thetas(self):
+        """log(2 cosh theta) works in its result and one scratch array."""
         rng = np.random.default_rng(0)
         params = nqs.init_params("rbm", (self.n ** 2, 2 * self.n), 0.05, 0)
         sigmas = tours_to_sigma(self._tours(rng))
-        energies = rng.uniform(0.0, 100.0, self.batch)
-        # a complex copy of sigmas alone is 2 x sigmas.nbytes
-        assert traced_peak(nqs.rbm_energy_gradient, params, sigmas, energies) < 1.25 * sigmas.nbytes
+        theta = self.batch * params.n_hidden * 16                  # (B, H) complex128 bytes
+        assert traced_peak(nqs.rbm_log_psi, params, sigmas) <= 2.5 * theta
 
     def test_cnn_peak_below_two_and_a_half_preactivation_arrays(self):
         rng = np.random.default_rng(0)

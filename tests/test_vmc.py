@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_symmetric_instance, window_preactivations
+from helpers import random_symmetric_instance, traced_peak, window_preactivations
 from qtsp import nqs
 from qtsp.encoding import tours_to_sigma
 from qtsp.errors import InvalidTourError
@@ -163,6 +163,38 @@ class TestAdam:
             state, _ = adam_update(state, np.zeros(3), rng.normal(size=3), self.cfg())
         assert np.all(state.second_moment >= 0)
 
+    @staticmethod
+    def _draw(rng, p):
+        state = AdamState(first_moment=rng.normal(size=p), second_moment=rng.uniform(size=p),
+                          step_count=int(rng.integers(0, 50)))
+        return state, rng.normal(size=p), 10.0 ** rng.uniform(-9, 3) * rng.normal(size=p)
+
+    def test_leaves_inputs_and_gives_the_textbook_bits(self):
+        rng = np.random.default_rng(5)
+        cfg = self.cfg(lr=0.013)
+        b1, b2 = 0.9, 0.999
+        for p in (1, 7, 300):
+            state, params, grad = self._draw(rng, p)
+            inputs = [x.copy() for x in (state.first_moment, state.second_moment, params, grad)]
+            new_state, updated = adam_update(state, params, grad, cfg)
+            for before, after in zip(inputs, (state.first_moment, state.second_moment, params, grad)):
+                assert before.tobytes() == after.tobytes()
+            t = state.step_count + 1
+            m = b1 * state.first_moment + (1 - b1) * grad
+            v = b2 * state.second_moment + (1 - b2) * grad * grad
+            step = cfg.learning_rate * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + 1e-8)
+            assert new_state.step_count == t
+            assert new_state.first_moment.tobytes() == m.tobytes()
+            assert new_state.second_moment.tobytes() == v.tobytes()
+            assert updated.tobytes() == (params - step).tobytes()
+
+    def test_peak_within_four_parameter_arrays(self):
+        """The two moments, the new parameters and one scratch array, at
+        the qubit N=12 midpoint size (P = 7,248)."""
+        p = 7248
+        state, params, grad = self._draw(np.random.default_rng(6), p)
+        assert traced_peak(adam_update, state, params, grad, self.cfg()) < 4.25 * p * 8
+
 
 class TestTrain:
     def test_reaches_planted_optimum_at_five_cities(self):
@@ -274,6 +306,25 @@ class TestTrain:
                       prune_no_improve_steps=1000)
         record = train(linear_instance(5), cfg)
         assert record.n_steps == 5
+
+    def test_qubit_training_never_builds_the_spin_batch(self, monkeypatch):
+        """The spin network reads tours: neither the (S, N^2) spin batch nor
+        the spin-input hidden layer is built, and the column cache holds
+        the current parameters only."""
+        from dataclasses import replace
+
+        from qtsp import encoding
+
+        def forbidden(*args):
+            raise AssertionError("train built a spin batch")
+
+        monkeypatch.setattr(encoding, "tours_to_sigma", forbidden)
+        monkeypatch.setattr(nqs, "_rbm_theta", forbidden)
+        nqs._rbm_columns.cache_clear()
+        cfg = replace(midpoint_vmc_config(6, "qubit", seed=2, max_steps=10),
+                      prune_no_improve_steps=1000)
+        assert train(linear_instance(6), cfg).n_steps == 10
+        assert nqs._rbm_columns.cache_info().currsize == 1
 
     def test_unrolled_cnn_cache_keeps_only_current_params(self):
         """train makes new parameters at every step, so older circulants are
