@@ -403,11 +403,14 @@ def cnn_energy_gradient(params: CnnParams, configs: np.ndarray, energies: np.nda
     """Flat real covariance gradient 2 Re sum_b c_b conj(O_b), c = (E - mean E) / S,
     without the (B, 2P) log-derivative matrix.
 
-    The weights c fold into the (B*N, K+1) matrix of windows with a
-    constant bias column; one GEMM against the (B*N, 2F) rectifier masks
-    sums every filter and bias term, and the dense weight enters as
-    2 Re conj(dense_w) = 2 Re dense_w for the real channels and
-    2 Re(-i conj(dense_w)) = -2 Im dense_w for the imaginary ones.
+    Goes position by position. The (B, K+1) window with a constant bias
+    column meets [Re w | Im w] over [Re b | Im b] in one GEMM, into one
+    (B, 2F) buffer; its rectified values add into the pooled activations,
+    and it then turns in place into the 0/1 rectifier mask times c. The
+    window against that buffer adds every filter and bias term. The dense
+    weight enters as 2 Re conj(dense_w) = 2 Re dense_w for the real
+    channels and 2 Re(-i conj(dense_w)) = -2 Im dense_w for the imaginary
+    ones. Besides the (B, N) float batch, the scratch is O(B (K + F)).
     """
     configs = np.asarray(configs, dtype=float)
     if configs.ndim != 2:
@@ -415,20 +418,23 @@ def cnn_energy_gradient(params: CnnParams, configs: np.ndarray, energies: np.nda
     batch, n = configs.shape
     k, f = params.kernel_size, params.n_channels
     c = _centred_weights(energies, batch)
-    conv, bias, _ = _cnn_unrolled(params, n)
-    pre = configs @ conv
-    pre += bias
-    pre = pre.reshape(batch * n, 2 * f)
-    pooled = np.maximum(pre, 0.0, out=pre).reshape(batch, n, 2 * f).sum(axis=1)   # (B, 2F)
-    mask = np.greater(pre, 0.0, out=pre)                      # 0/1 floats, NaN -> 0
+    windows = _window_index(n, k)
+    filters = np.block([[params.w.real, params.w.imag], [params.b.real, params.b.imag]])  # (K+1, 2F)
 
-    weighted = np.empty((batch, n, k + 1))
-    weighted[:, :, :k] = configs[:, _window_index(n, k)]
-    weighted[:, :, k] = 1.0
-    weighted *= c[:, None, None]
+    window = np.empty((batch, k + 1))
+    window[:, k] = 1.0
+    pre = np.empty((batch, 2 * f))
+    pooled = np.zeros((batch, 2 * f))
+    g = np.zeros((k + 1, 2 * f))
+    for cols in windows:
+        np.take(configs, cols, axis=1, out=window[:, :k], mode="wrap")   # in range: no buffered copy
+        np.matmul(window, filters, out=pre)
+        pooled += np.maximum(pre, 0.0, out=pre)
+        np.greater(pre, 0.0, out=pre)                                    # 0/1 floats, NaN -> 0
+        pre *= c[:, None]
+        g += window.T @ pre
     sign = np.repeat([2.0, -2.0], f)
-    g = (weighted.reshape(batch * n, k + 1).T @ mask) * (
-        sign * np.concatenate([params.dense_w.real, params.dense_w.imag]))
+    g *= sign * np.concatenate([params.dense_w.real, params.dense_w.imag])
     g_dense = sign * (c @ pooled)
     return _join(CnnParams, {"w": [g[:k, :f], g[:k, f:]], "b": [g[k, :f], g[k, f:]],
                              "dense_w": [g_dense[:f], g_dense[f:]], "dense_b": [2.0 * c.sum(), 0.0]})

@@ -247,7 +247,9 @@ def train(
 
     The optional sink receives one JSON-serializable dict per emitted line
     (header, then one per step, then a footer), enabling streaming JSONL
-    output that stays parseable mid-run.
+    output that stays parseable mid-run. An exception that escapes the
+    loop still gets the footer, with reason "error" and an "error" message
+    (best_energy and best_tour null if no step finished), and is re-raised.
     """
     from . import __version__
 
@@ -272,55 +274,71 @@ def train(
     last_improve_step = 0
     time_to_target: float | None = None
     reason = "max-steps"
+    error: str | None = None  # what escaped the loop, if anything did
     t0 = time.perf_counter()
 
-    for step in range(1, cfg.max_steps + 1):
-        sample = run_chains(chains, ansatz.log_psi_tours, cfg.sampler)
-        energies = local_energies(instance, sample.configs)
-        e_mean = float(energies.mean())
-        e_std = float(energies.std(ddof=1))  # VmcConfig guarantees two samples
+    try:
+        for step in range(1, cfg.max_steps + 1):
+            sample = run_chains(chains, ansatz.log_psi_tours, cfg.sampler)
+            energies = local_energies(instance, sample.configs)
+            e_mean = float(energies.mean())
+            e_std = float(energies.std(ddof=1))  # VmcConfig guarantees two samples
 
-        i_min = int(np.argmin(energies))
-        if energies[i_min] < best - IMPROVEMENT_TOL:
-            if math.isfinite(best):  # the first sample only sets the baseline
-                last_improve_step = step
-            best = float(energies[i_min])
-            best_tour = sample.configs[i_min].copy()
+            i_min = int(np.argmin(energies))
+            if energies[i_min] < best - IMPROVEMENT_TOL:
+                if math.isfinite(best):  # the first sample only sets the baseline
+                    last_improve_step = step
+                best = float(energies[i_min])
+                best_tour = sample.configs[i_min].copy()
 
-        wall = time.perf_counter() - t0
-        stats = StepStats(
-            step=step,
-            wall_clock_s=wall,
-            energy_mean=e_mean,
-            energy_std=e_std,
-            acceptance_rate=sample.acceptance_rate,
-            best_energy=best,
-            best_tour=best_tour,
-        )
-        steps.append(stats)
+            wall = time.perf_counter() - t0
+            stats = StepStats(
+                step=step,
+                wall_clock_s=wall,
+                energy_mean=e_mean,
+                energy_std=e_std,
+                acceptance_rate=sample.acceptance_rate,
+                best_energy=best,
+                best_tour=best_tour,
+            )
+            steps.append(stats)
+            if sink is not None:
+                sink({"type": "step", **vars(stats), "best_tour": best_tour.tolist()})
+
+            if target_energy is not None and best <= target_energy + TARGET_TOL:
+                time_to_target = wall
+                reason = "target-reached"
+                break
+            if step - last_improve_step >= cfg.prune_no_improve_steps:
+                reason = "no-improvement"
+                break
+            if wall >= cfg.prune_wall_clock_s:
+                reason = "time-limit"
+                break
+            if step == cfg.max_steps:
+                reason = "max-steps"
+                break
+
+            grad = ansatz.energy_gradient(sample.configs, energies)
+            adam, theta = adam_update(adam, theta, grad, cfg)
+            ansatz.set_flat(theta)
+    except BaseException as exc:
+        reason, error = "error", f"{type(exc).__name__}: {exc}"
+        raise
+    finally:  # every run that wrote a header ends with a footer, whatever stopped it
+        total = time.perf_counter() - t0
         if sink is not None:
-            sink({"type": "step", **vars(stats), "best_tour": best_tour.tolist()})
-
-        if target_energy is not None and best <= target_energy + TARGET_TOL:
-            time_to_target = wall
-            reason = "target-reached"
-            break
-        if step - last_improve_step >= cfg.prune_no_improve_steps:
-            reason = "no-improvement"
-            break
-        if wall >= cfg.prune_wall_clock_s:
-            reason = "time-limit"
-            break
-        if step == cfg.max_steps:
-            reason = "max-steps"
-            break
-
-        grad = ansatz.energy_gradient(sample.configs, energies)
-        adam, theta = adam_update(adam, theta, grad, cfg)
-        ansatz.set_flat(theta)
-
-    total = time.perf_counter() - t0
-    record = RunRecord(
+            sink({
+                "type": "footer",
+                "reason": reason,
+                "total_time_s": total,
+                "n_steps": len(steps),
+                "best_energy": None if best_tour is None else best,
+                "best_tour": None if best_tour is None else best_tour.tolist(),
+                "time_to_target_s": time_to_target,
+                **({} if error is None else {"error": error}),
+            })
+    return RunRecord(
         steps=steps,
         termination_reason=reason,
         total_time_s=total,
@@ -328,14 +346,3 @@ def train(
         best_tour=best_tour,
         time_to_target_s=time_to_target,
     )
-    if sink is not None:
-        sink({
-            "type": "footer",
-            "reason": reason,
-            "total_time_s": total,
-            "n_steps": len(steps),
-            "best_energy": best,
-            "best_tour": best_tour.tolist(),
-            "time_to_target_s": time_to_target,
-        })
-    return record

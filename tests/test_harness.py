@@ -8,6 +8,7 @@ import pytest
 
 from helpers import random_symmetric_instance
 from qtsp.cli import cli
+from qtsp.errors import InvalidTourError
 from qtsp.harness import (
     SweepSummary,
     TrialResult,
@@ -208,6 +209,43 @@ class TestCli:
         assert lines[0]["target_energy"] is None
         assert lines[-1]["reason"] == "max-steps"
         assert lines[-1]["n_steps"] == 3
+
+    def test_non_finite_gradient_still_ends_the_jsonl_with_a_footer(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        """adam_update rejects the gradient; the run still gets its footer,
+        and solve still stops with the same message and exit code."""
+        from qtsp import nqs
+
+        monkeypatch.setattr(nqs, "cnn_energy_gradient",
+                            lambda params, configs, energies: np.full(params.n_real_params, np.nan))
+        out = tmp_path / "run.jsonl"
+        assert cli(["solve", "--rep", "qudit", "--cities", "6", "--steps", "5", "--seed", "1",
+                    "--out", str(out)]) == 2
+        assert "error: non-finite gradient at Adam step 1" in capsys.readouterr().err
+        lines = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [line["type"] for line in lines] == ["header", "step", "footer"]
+        footer = lines[-1]
+        assert footer["reason"] == "error"
+        assert footer["error"] == "ValueError: non-finite gradient at Adam step 1"
+        assert footer["n_steps"] == 1
+        assert footer["best_energy"] == lines[1]["best_energy"]
+        assert footer["best_tour"] == lines[1]["best_tour"]
+        assert footer["time_to_target_s"] is None
+
+    def test_error_before_any_step_gives_a_footer_with_no_best(self, tmp_path, monkeypatch):
+        from qtsp import vmc
+
+        def leak(*args):
+            raise InvalidTourError("invalid configuration reached the energy estimator")
+
+        monkeypatch.setattr(vmc, "local_energies", leak)
+        out = tmp_path / "run.jsonl"
+        assert cli(["solve", "--rep", "qudit", "--cities", "6", "--steps", "5",
+                    "--out", str(out)]) == 2
+        lines = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [line["type"] for line in lines] == ["header", "footer"]
+        assert {k: lines[-1][k] for k in ("reason", "n_steps", "best_energy", "best_tour")} == {
+            "reason": "error", "n_steps": 0, "best_energy": None, "best_tour": None}
 
     def test_solve_is_train_with_the_cli_defaults(self, tmp_path):
         """Nothing between the flags and train decides anything a second

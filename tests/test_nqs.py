@@ -411,6 +411,7 @@ class TestEnergyGradient:
     @example(n=6, batch=64, kernel=3, channels=4, scale=0.3, seed=0, constant=False)
     @example(n=12, batch=512, kernel=6, channels=8, scale=0.02, seed=1, constant=False)
     @example(n=12, batch=33, kernel=12, channels=3, scale=0.5, seed=2, constant=True)
+    @example(n=48, batch=64, kernel=4, channels=4, scale=0.3, seed=3, constant=False)
     def test_cnn_matches_oracle(self, n, batch, kernel, channels, scale, seed, constant):
         rng = np.random.default_rng(seed)
         params = nqs.init_params("cnn", (min(kernel, n), channels), scale, seed)
@@ -442,8 +443,9 @@ class TestGradientMemory:
 
     n, batch = 12, 512
 
-    def _tours(self, rng):
-        return np.stack([rng.permutation(np.arange(1, self.n + 1)) for _ in range(self.batch)])
+    def _tours(self, rng, n=None):
+        n = n or self.n
+        return np.stack([rng.permutation(np.arange(1, n + 1)) for _ in range(self.batch)])
 
     def test_rbm_peak_below_the_spin_batch(self):
         rng = np.random.default_rng(0)
@@ -461,14 +463,17 @@ class TestGradientMemory:
         theta = self.batch * params.n_hidden * 16                  # (B, H) complex128 bytes
         assert traced_peak(nqs.rbm_log_psi, params, sigmas) <= 2.5 * theta
 
-    def test_cnn_peak_below_two_and_a_half_preactivation_arrays(self):
+    @pytest.mark.parametrize("n", [12, 48])
+    def test_cnn_peak_below_half_a_preactivation_array(self, n):
+        """The convolutional gradient goes position by position: no
+        (B, N * 2F) pre-activation or (B, N, K+1) window array."""
         rng = np.random.default_rng(0)
         kernel, channels = 3, 4
         params = nqs.init_params("cnn", (kernel, channels), 0.3, 0)
-        configs = self._tours(rng).astype(float)
+        configs = self._tours(rng, n).astype(float)
         energies = rng.uniform(0.0, 100.0, self.batch)
-        preactivations = self.batch * self.n * 2 * channels * 8   # (B, N * 2F) float64 bytes
-        assert traced_peak(nqs.cnn_energy_gradient, params, configs, energies) < 2.5 * preactivations
+        preactivations = self.batch * n * 2 * channels * 8        # (B, N * 2F) float64 bytes
+        assert traced_peak(nqs.cnn_energy_gradient, params, configs, energies) < preactivations / 2
 
 
 class TestInitParams:
