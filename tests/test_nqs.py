@@ -463,6 +463,15 @@ class TestGradientMemory:
         theta = self.batch * params.n_hidden * 16                  # (B, H) complex128 bytes
         assert traced_peak(nqs.rbm_log_psi, params, sigmas) <= 2.5 * theta
 
+    def test_cnn_peak_below_two_and_a_half_preactivation_arrays(self):
+        rng = np.random.default_rng(0)
+        kernel, channels = 3, 4
+        params = nqs.init_params("cnn", (kernel, channels), 0.3, 0)
+        configs = self._tours(rng).astype(float)
+        energies = rng.uniform(0.0, 100.0, self.batch)
+        preactivations = self.batch * self.n * 2 * channels * 8   # (B, N * 2F) float64 bytes
+        assert traced_peak(nqs.cnn_energy_gradient, params, configs, energies) < 2.5 * preactivations
+
     @pytest.mark.parametrize("n", [12, 48])
     def test_cnn_peak_below_half_a_preactivation_array(self, n):
         """The convolutional gradient goes position by position: no
