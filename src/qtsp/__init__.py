@@ -7,44 +7,9 @@ Monte Carlo with complex-parameter neural ansatze.
 
 __version__ = "0.1.0"
 
-from .encoding import (
-    PenaltyConfig,
-    default_penalties,
-    dense_hamiltonian,
-    exact_ground_valid_subspace,
-    qubo_objective,
-    qudit_diagonal_energy,
-    ring_hamiltonian_element,
-    tour_to_onehot,
-    twobody_element,
-)
+# the names callers reach through `qtsp.`; the Hamiltonians (`qtsp.encoding`)
+# load only where they are used, so training never imports them
+from . import harness
 from .errors import InvalidInstanceError, InvalidTourError, QtspError, SizeLimitError
-from .harness import SweepSummary, report_convergence, sweep
-from .instance import (
-    Instance,
-    brute_force_optimum,
-    farthest_city_tour,
-    linear_instance,
-    load_instance,
-    planted_optimum,
-    tour_length,
-)
-from .nqs import (
-    CnnParams,
-    RbmParams,
-    cnn_grad_log_psi,
-    cnn_log_psi,
-    init_params,
-    rbm_grad_log_psi,
-    rbm_log_psi,
-)
-from .sampler import ChainState, Sample, SamplerConfig, init_chains, mh_step, run_chains
-from .vmc import (
-    AdamState,
-    RunRecord,
-    StepStats,
-    VmcConfig,
-    adam_update,
-    estimate_gradient,
-    train,
-)
+from .instance import Instance, linear_instance, load_instance, planted_optimum, tour_length
+from .vmc import RunRecord, VmcConfig, train

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, encoding, harness, instance as inst
+from . import __version__, harness, instance as inst
 from .errors import QtspError
 from .instance import Instance, linear_instance, load_instance
 from .sampler import SamplerConfig
@@ -144,6 +144,8 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_diag(args) -> int:
+    from . import encoding  # only diag needs the Hamiltonians; training never loads them
+
     instance = _resolve_instance(args)
     if args.p is None:
         pen = encoding.default_penalties(instance)

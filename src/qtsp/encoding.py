@@ -22,7 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidTourError, SizeLimitError
-from .instance import Instance, TourLike, is_permutation, tour_lengths
+from .instance import (
+    Instance, TourLike, are_permutations, is_permutation, spin_columns, tour_lengths,
+)
 
 DENSE_MAX_CITIES = 5
 VALID_SUBSPACE_MAX_CITIES = 8
@@ -61,21 +63,6 @@ def tour_to_onehot(order: TourLike) -> np.ndarray:
     z = np.zeros((n, n), dtype=np.int64)
     z[order - 1, np.arange(n)] = 1
     return z
-
-
-def spin_columns(orders: np.ndarray) -> np.ndarray:
-    """The (B, N) indices of the up spins of a (B, N) batch of tours in the
-    row-major (city, slot) spin layout: (city - 1) * N + slot. Raises
-    ValueError naming a label outside 1..N."""
-    orders = np.asarray(orders, dtype=np.int64)
-    if orders.ndim != 2:
-        raise ValueError(f"expected a (B, N) batch of tours, got shape {orders.shape}")
-    n = orders.shape[1]
-    if orders.size:
-        lo, hi = orders.min(), orders.max()
-        if lo < 1 or hi > n:
-            raise ValueError(f"tour label {lo if lo < 1 else hi} outside 1..{n}")
-    return (orders - 1) * n + np.arange(n)
 
 
 def tours_to_sigma(orders: np.ndarray) -> np.ndarray:
@@ -120,8 +107,7 @@ def qudit_diagonal_energy(instance: Instance, config: TourLike, pen: PenaltyConf
     config = np.asarray(config, dtype=np.int64)
     if not is_permutation(config, instance.n_cities):
         return pen.p
-    nxt = np.roll(config, -1)
-    return float(instance.dist[config - 1, nxt - 1].sum())
+    return float(tour_lengths(instance, config[None])[0])
 
 
 def twobody_element(
@@ -185,7 +171,7 @@ def dense_hamiltonian(instance: Instance, variant: str, pen: PenaltyConfig) -> n
 
     if variant == "eq2":
         lengths = tour_lengths(instance, basis)
-        valid = np.array([is_permutation(c, n) for c in basis])
+        valid = are_permutations(basis)
         h = np.full((dim, dim), pen.p)
         np.fill_diagonal(h, np.where(valid, lengths, pen.p))
         return h
@@ -232,14 +218,7 @@ def exact_ground_valid_subspace(instance: Instance) -> tuple[np.ndarray, float]:
         raise SizeLimitError(
             f"valid-subspace scan limited to N <= {VALID_SUBSPACE_MAX_CITIES}, got {n}"
         )
-    best_cfg: np.ndarray | None = None
-    best = np.inf
-    for perm in itertools.permutations(range(1, n + 1)):
-        cfg = np.array(perm, dtype=np.int64)
-        nxt = np.roll(cfg, -1)
-        e = float(instance.dist[cfg - 1, nxt - 1].sum())
-        if e < best:
-            best = e
-            best_cfg = cfg
-    assert best_cfg is not None
-    return best_cfg, best
+    tours = np.array(list(itertools.permutations(range(1, n + 1))), dtype=np.int64)
+    lengths = tour_lengths(instance, tours)
+    i = int(np.argmin(lengths))  # the first minimum, in lexicographic order
+    return tours[i].copy(), float(lengths[i])

@@ -119,15 +119,20 @@ def midpoint_vmc_config(
 
 @dataclass(frozen=True)
 class TrialResult:
+    """One trial's run. A trial whose train call raised has reason "error",
+    the message in error, and the step count, best energy (None if no step
+    finished) and wall time of train's error footer."""
+
     trial: int
     hyperparams: dict
     seed: int
-    best_energy: float
+    best_energy: float | None
     converged: bool
     time_to_target_s: float | None
     reason: str
     n_steps: int
     wall_s: float
+    error: str | None = None
 
 
 @dataclass(frozen=True)
@@ -166,7 +171,8 @@ def sweep(
 ) -> SweepSummary:
     """Random hyperparameter search with the standard pruning rules. Every
     trial runs to `default_target(instance)` within `budgets`, as in
-    `make_vmc_config`."""
+    `make_vmc_config`. A trial that raises is recorded as an error and the
+    sweep goes on."""
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
     space = search_space if search_space is not None else default_search_space(
@@ -177,17 +183,31 @@ def sweep(
     def run_trial(trial: int) -> TrialResult:
         hyperparams, run_seed = sample_trial_hyperparams(space, seed, trial)
         cfg = make_vmc_config(representation, hyperparams, seed=run_seed, **budgets)
-        record = train(instance, cfg, target_energy=target)
+        # train's footer, which ends every run it starts; the defaults stand
+        # in when it fails before its first line
+        end = {"reason": "error", "n_steps": 0, "best_energy": None, "total_time_s": 0.0,
+               "time_to_target_s": None}
+
+        def keep_footer(line: dict) -> None:
+            if line["type"] == "footer":
+                end.update(line)
+
+        error = None
+        try:
+            train(instance, cfg, target_energy=target, sink=keep_footer)
+        except Exception as exc:  # one failed trial must not lose the others
+            error = f"{type(exc).__name__}: {exc}"
         return TrialResult(
             trial=trial,
             hyperparams=hyperparams,
             seed=run_seed,
-            best_energy=record.best_energy,
-            converged=record.converged,
-            time_to_target_s=record.time_to_target_s,
-            reason=record.termination_reason,
-            n_steps=record.n_steps,
-            wall_s=record.total_time_s,
+            best_energy=end["best_energy"],
+            converged=end["reason"] == "target-reached",
+            time_to_target_s=end["time_to_target_s"],
+            reason=end["reason"],
+            n_steps=end["n_steps"],
+            wall_s=end["total_time_s"],
+            error=error,
         )
 
     trials = [run_trial(t) for t in range(n_trials)]
@@ -204,19 +224,26 @@ def sweep(
 
 
 def summary_json(summary: SweepSummary) -> str:
-    """The sweep summary file format that load_summary reads."""
-    return json.dumps(asdict(summary), indent=2) + "\n"
+    """The sweep summary file format that load_summary reads: strict JSON,
+    so a NaN or infinite value raises ValueError."""
+    return json.dumps(asdict(summary), indent=2, allow_nan=False) + "\n"
 
 
 _JSON_TYPES = {"int": (int,), "float": (int, float), "float | None": (int, float, type(None)),
-               "bool": (bool,), "str": (str,), "dict": (dict,), "list[TrialResult]": (list,)}
+               "bool": (bool,), "str": (str,), "str | None": (str, type(None)), "dict": (dict,),
+               "list[TrialResult]": (list,)}
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not strict JSON")
 
 
 def load_summary(path: str | Path) -> SweepSummary:
-    """Inverse of summary_json. Raises ValueError naming the file on invalid JSON,
-    a missing or unknown key, or a value of a type its field rejects (a bool is no number)."""
+    """Inverse of summary_json. Raises ValueError naming the file on invalid JSON
+    (NaN and Infinity included), a missing or unknown key, or a value of a type its
+    field rejects (a bool is no number)."""
     try:
-        payload = json.loads(Path(path).read_text())
+        payload = json.loads(Path(path).read_text(), parse_constant=_reject_constant)
         trials = [TrialResult(**t) for t in payload.pop("trials")]
         summary = SweepSummary(trials=trials, **payload)
         for record in (summary, *trials):

@@ -1,5 +1,9 @@
 """TSP instances, tour arithmetic and exact brute-force oracles.
 
+Tour arithmetic is owned here: cyclic lengths (`tour_lengths`), the
+permutation test (`are_permutations`) and the (city, slot) label map of
+the one-hot spins (`spin_columns`).
+
 Cities are labelled 1..N throughout the public API; a tour is a length-N
 permutation of those labels and is always understood cyclically (the leg
 from the last city back to the first is included in every length).
@@ -78,11 +82,30 @@ def planted_optimum(n_cities: int) -> float:
     return 2.0 * (n_cities - 1)
 
 
+def are_permutations(orders: np.ndarray) -> np.ndarray:
+    """Which rows of a (B, N) batch are permutations of 1..N, as a (B,) bool array."""
+    orders = np.asarray(orders)
+    return (np.sort(orders, axis=1) == np.arange(1, orders.shape[1] + 1)).all(axis=1)
+
+
 def is_permutation(order: TourLike, n_cities: int) -> bool:
     order = np.asarray(order)
-    if order.shape != (n_cities,):
-        return False
-    return bool(np.array_equal(np.sort(order), np.arange(1, n_cities + 1)))
+    return order.shape == (n_cities,) and bool(are_permutations(order[None])[0])
+
+
+def spin_columns(orders: np.ndarray) -> np.ndarray:
+    """The (B, N) indices of the up spins of a (B, N) batch of tours in the
+    row-major (city, slot) spin layout: (city - 1) * N + slot. Raises
+    ValueError naming a label outside 1..N."""
+    orders = np.asarray(orders, dtype=np.int64)
+    if orders.ndim != 2:
+        raise ValueError(f"expected a (B, N) batch of tours, got shape {orders.shape}")
+    n = orders.shape[1]
+    if orders.size:
+        lo, hi = orders.min(), orders.max()
+        if lo < 1 or hi > n:
+            raise ValueError(f"tour label {lo if lo < 1 else hi} outside 1..{n}")
+    return (orders - 1) * n + np.arange(n)
 
 
 def tour_length(instance: Instance, order: TourLike) -> float:
@@ -90,12 +113,12 @@ def tour_length(instance: Instance, order: TourLike) -> float:
     order = np.asarray(order, dtype=np.int64)
     if not is_permutation(order, instance.n_cities):
         raise InvalidTourError(f"not a permutation of 1..{instance.n_cities}: {order.tolist()}")
-    nxt = np.roll(order, -1)
-    return float(instance.dist[order - 1, nxt - 1].sum())
+    return float(tour_lengths(instance, order[None])[0])
 
 
 def tour_lengths(instance: Instance, orders: np.ndarray) -> np.ndarray:
-    """Cyclic lengths for a (B, N) batch of tours; no validity check."""
+    """Cyclic lengths for a (B, N) batch of tours; no validity check. The
+    one place a tour's legs are summed."""
     orders = np.asarray(orders, dtype=np.int64)
     nxt = np.roll(orders, -1, axis=1)
     return instance.dist[orders - 1, nxt - 1].sum(axis=1)

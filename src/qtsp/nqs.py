@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .encoding import spin_columns
+from .instance import spin_columns
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +251,7 @@ def _rbm_columns(params: RbmParams) -> tuple[np.ndarray, np.ndarray, complex]:
 
 
 def _tour_columns(params: RbmParams, tours: np.ndarray) -> np.ndarray:
-    """The (B, N) up-spin columns of a tour batch (encoding.spin_columns),
+    """The (B, N) up-spin columns of a tour batch (instance.spin_columns),
     once its N^2 spins are checked against the network's visible units."""
     shape = np.shape(tours)
     if len(shape) != 2 or shape[1] ** 2 != params.n_visible:

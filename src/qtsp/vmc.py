@@ -19,7 +19,7 @@ import numpy as np
 
 from . import nqs
 from .errors import InvalidTourError
-from .instance import Instance, tour_lengths
+from .instance import Instance, are_permutations, tour_lengths
 from .sampler import SamplerConfig, init_chains, run_chains
 
 IMPROVEMENT_TOL = 1e-12
@@ -165,8 +165,7 @@ def local_energies(instance: Instance, configs: np.ndarray) -> np.ndarray:
     an invalid state and is reported as an error.
     """
     configs = np.asarray(configs, dtype=np.int64)
-    expected = np.arange(1, instance.n_cities + 1)
-    if not np.array_equal(np.sort(configs, axis=1), np.broadcast_to(expected, configs.shape)):
+    if configs.shape[1:] != (instance.n_cities,) or not are_permutations(configs).all():
         raise InvalidTourError("invalid configuration reached the energy estimator")
     return tour_lengths(instance, configs)
 

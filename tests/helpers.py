@@ -21,15 +21,30 @@ def random_tour(n: int, rng: np.random.Generator) -> np.ndarray:
     return rng.permutation(np.arange(1, n + 1)).astype(np.int64)
 
 
-def exhaustive_optimum(instance: Instance) -> float:
-    """Independent brute force: scan all N! ordered tours, no symmetry tricks."""
+def exhaustive_optimum(instance: Instance) -> tuple[np.ndarray, float]:
+    """Independent brute force: scan all N! ordered tours one at a time, no
+    symmetry tricks; the first shortest tour in lexicographic order and its
+    length, summed leg by leg as the per-permutation loop once did."""
     n = instance.n_cities
-    best = np.inf
+    best_tour, best = None, np.inf
     for perm in itertools.permutations(range(1, n + 1)):
-        order = np.array(perm)
+        order = np.array(perm, dtype=np.int64)
         nxt = np.roll(order, -1)
-        best = min(best, float(instance.dist[order - 1, nxt - 1].sum()))
-    return best
+        length = float(instance.dist[order - 1, nxt - 1].sum())
+        if length < best:
+            best_tour, best = order, length
+    return best_tour, best
+
+
+def pinned_born_law(log_psi, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (N-1)! tours with city 1 first, in lexicographic order, and their
+    exact Born probabilities |psi|^2 / sum |psi|^2 under log_psi, which maps
+    a (B, N) tour batch to its (B,) complex log psi."""
+    tours = np.array([(1, *rest) for rest in itertools.permutations(range(2, n + 1))],
+                     dtype=np.int64)
+    log_weight = 2.0 * np.real(log_psi(tours))
+    weight = np.exp(log_weight - log_weight.max())
+    return tours, weight / weight.sum()
 
 
 def finite_difference(fn, flat, step=1e-5):

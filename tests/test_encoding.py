@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import random_symmetric_instance, random_tour
+from helpers import exhaustive_optimum, random_symmetric_instance, random_tour
 from qtsp.encoding import (
     PenaltyConfig,
     _enumerate_basis,
@@ -86,6 +86,14 @@ class TestQuditDiagonal:
 
     def test_two_cities(self):
         assert qudit_diagonal_energy(linear_instance(2), [1, 2], PEN) == 2.0
+
+    def test_valid_config_is_its_tour_length_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        for n in range(3, 9):
+            inst = random_symmetric_instance(n, n, scale=9.0)
+            for _ in range(20):
+                tour = random_tour(n, rng)
+                assert qudit_diagonal_energy(inst, tour, PEN).hex() == tour_length(inst, tour).hex()
 
     def test_cyclic_shift_invariance(self):
         inst = random_symmetric_instance(6, 2)
@@ -213,6 +221,15 @@ class TestExactGroundValidSubspace:
             _, e_subspace = exact_ground_valid_subspace(inst)
             _, e_brute = brute_force_optimum(inst)
             assert e_subspace == pytest.approx(e_brute, abs=1e-12)
+
+    def test_matches_the_per_permutation_loop_bit_for_bit(self):
+        for n in range(3, 9):
+            for seed in range(2):
+                inst = random_symmetric_instance(n, seed, scale=9.0)
+                tour, energy = exact_ground_valid_subspace(inst)
+                loop_tour, loop_energy = exhaustive_optimum(inst)
+                assert tour.tolist() == loop_tour.tolist()
+                assert energy.hex() == loop_energy.hex()
 
     def test_size_guard(self):
         with pytest.raises(SizeLimitError):

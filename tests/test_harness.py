@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 from dataclasses import asdict, fields, replace
 
 import numpy as np
@@ -122,6 +123,56 @@ class TestSweep:
         loaded = load_summary(path)
         assert loaded == summary
 
+    def test_a_failing_trial_is_recorded_and_the_sweep_goes_on(self, tmp_path, monkeypatch):
+        """A non-finite gradient used to abort the sweep and lose every
+        finished trial; now each failed trial is an outcome, with the step
+        count and best energy of train's error footer, in a strict JSON
+        summary that loads back."""
+        from qtsp import nqs
+
+        monkeypatch.setattr(nqs, "cnn_energy_gradient",
+                            lambda params, configs, energies: np.full(params.n_real_params, np.nan))
+        summary = sweep(linear_instance(12), "qudit", None, 3, 0, max_steps=20)
+        assert [t.reason for t in summary.trials] == ["error"] * 3
+        for trial in summary.trials:
+            assert not trial.converged and trial.time_to_target_s is None
+            assert trial.error == "ValueError: non-finite gradient at Adam step 1"
+            assert trial.n_steps == 1
+            assert trial.best_energy >= planted_optimum(12)
+        assert summary.percent_converged == 0.0
+        assert summary.median_time_to_target_s is None
+
+        path = tmp_path / "summary.json"
+        path.write_text(summary_json(summary))
+        assert load_summary(path) == summary  # strict JSON: it rejects NaN and Infinity
+
+    def test_a_trial_with_no_finished_step_has_no_best_energy(self, monkeypatch):
+        from qtsp import vmc
+
+        def leak(*args):
+            raise InvalidTourError("invalid configuration reached the energy estimator")
+
+        monkeypatch.setattr(vmc, "local_energies", leak)
+        trial, = sweep(linear_instance(5), "qudit", None, 1, 0, max_steps=5).trials
+        assert (trial.reason, trial.n_steps, trial.best_energy, trial.converged) == (
+            "error", 0, None, False)
+        assert trial.error == "InvalidTourError: invalid configuration reached the energy estimator"
+
+    def test_summary_without_error_field_still_loads(self, tmp_path):
+        """Summaries written before failed trials were recorded have no
+        error key; they load with error None."""
+        summary = fake_summary(4, "qudit", [True], [0.5])
+        payload = json.loads(summary_json(summary))
+        del payload["trials"][0]["error"]
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(payload))
+        assert load_summary(path) == summary
+
+    def test_summary_json_rejects_non_finite_values(self):
+        summary = replace(fake_summary(4, "qudit", [False], [None]), percent_converged=math.nan)
+        with pytest.raises(ValueError):
+            summary_json(summary)
+
 
 def fake_summary(n_cities, representation, converged_flags, times):
     trials = [
@@ -168,6 +219,32 @@ class TestReport:
         assert load_summary(path) == summary  # null times are valid
         rows = list(csv.reader(io.StringIO(report_convergence([summary]))))
         assert rows[1][4] == ""
+
+
+def test_training_never_loads_the_hamiltonians():
+    """The library and the CLI import, and train both representations,
+    without qtsp.encoding: only `qtsp diag` and the tests use it."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import qtsp
+
+    script = (
+        "import sys, qtsp, qtsp.cli\n"
+        "for rep in ('qubit', 'qudit'):\n"
+        "    cfg = qtsp.harness.midpoint_vmc_config(6, rep, seed=1, max_steps=3)\n"
+        "    assert qtsp.train(qtsp.linear_instance(6), cfg).n_steps == 3\n"
+        "print('qtsp.encoding' in sys.modules)\n"
+    )
+    src = str(Path(qtsp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 class TestCli:
@@ -402,6 +479,7 @@ class TestCli:
         assert rows[1][0] == "4"
 
     @pytest.mark.parametrize("broken", ["no trials", "unknown trial key", "null percentage",
+                                        "NaN percentage", "infinite wall time",
                                         "boolean step count", "not JSON"])
     def test_malformed_summary_is_runtime_error(self, tmp_path, capsys, broken):
         payload = asdict(fake_summary(4, "qudit", [True], [1.0]))
@@ -411,6 +489,10 @@ class TestCli:
             payload["trials"][0]["bogus"] = 1
         elif broken == "null percentage":
             payload["percent_converged"] = None
+        elif broken == "NaN percentage":
+            payload["percent_converged"] = math.nan
+        elif broken == "infinite wall time":
+            payload["trials"][0]["wall_s"] = math.inf
         elif broken == "boolean step count":
             payload["trials"][0]["n_steps"] = True
         path = tmp_path / "s.json"

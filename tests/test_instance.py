@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import exhaustive_optimum, random_symmetric_instance, random_tour
 from qtsp.errors import InvalidInstanceError, InvalidTourError, SizeLimitError
 from qtsp.instance import (
     Instance,
+    are_permutations,
     brute_force_optimum,
     farthest_city_tour,
     instance_json,
     linear_instance,
     load_instance,
     planted_optimum,
+    spin_columns,
     tour_length,
+    tour_lengths,
 )
 
 
@@ -94,6 +98,51 @@ class TestTourLength:
                 assert tour_length(inst, np.roll(tour, -k)) == pytest.approx(base, abs=1e-12)
             assert tour_length(inst, tour[::-1]) == pytest.approx(base, abs=1e-12)
 
+    def test_is_its_row_of_the_batch_and_the_plain_cyclic_sum(self):
+        rng = np.random.default_rng(5)
+        for n in range(2, 13):
+            inst = random_symmetric_instance(n, n, scale=9.0)
+            tours = np.array([random_tour(n, rng) for _ in range(20)])
+            batch = tour_lengths(inst, tours)
+            for tour, row in zip(tours, batch):
+                length = tour_length(inst, tour)
+                assert length.hex() == float(row).hex()
+                legs = [inst.dist[a - 1, b - 1] for a, b in zip(tour, np.roll(tour, -1))]
+                assert length == pytest.approx(sum(legs), abs=1e-12)
+
+
+@st.composite
+def label_batches(draw):
+    """(B, N) integer batches mixing permutations of 1..N with rows drawn
+    from -2..N+2: zeros, N + 1, negatives and repeats."""
+    n = draw(st.integers(1, 8))
+    perm = st.permutations(range(1, n + 1))
+    any_row = st.lists(st.integers(-2, n + 2), min_size=n, max_size=n)
+    rows = draw(st.lists(st.one_of(perm, any_row), max_size=6))
+    return np.array(rows, dtype=np.int64).reshape(len(rows), n)
+
+
+class TestArePermutations:
+    @settings(max_examples=200, deadline=None)
+    @given(label_batches())
+    def test_agrees_with_a_set_check_row_by_row(self, batch):
+        n = batch.shape[1]
+        expected = [set(row.tolist()) == set(range(1, n + 1)) for row in batch]
+        assert are_permutations(batch).tolist() == expected
+
+    def test_named_cases(self):
+        batch = [[1, 3, 2, 4], [1, 1, 2, 3], [0, 2, 1, 3], [1, 2, 3, 5], [-1, 2, 3, 4], [4, 3, 2, 1]]
+        assert are_permutations(batch).tolist() == [True, False, False, False, False, True]
+
+
+class TestSpinColumns:
+    def test_row_major_city_slot_layout(self):
+        assert spin_columns([[2, 1, 3]]).tolist() == [[3, 1, 8]]
+
+    def test_rejects_a_single_tour(self):
+        with pytest.raises(ValueError, match="expected a"):
+            spin_columns([1, 2, 3])
+
 
 class TestBruteForce:
     def test_linear_four(self):
@@ -121,7 +170,7 @@ class TestBruteForce:
         for seed in range(3):
             inst = random_symmetric_instance(6, 100 + seed)
             _, length = brute_force_optimum(inst)
-            assert length == pytest.approx(exhaustive_optimum(inst), abs=1e-12)
+            assert length == pytest.approx(exhaustive_optimum(inst)[1], abs=1e-12)
 
     def test_returned_tour_has_returned_length(self):
         inst = random_symmetric_instance(7, 3)

@@ -1,10 +1,13 @@
 import math
 from collections import Counter, defaultdict
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import pinned_born_law
+from qtsp import nqs
 from qtsp.instance import linear_instance
 from qtsp.sampler import (
     SamplerConfig,
@@ -320,6 +323,47 @@ def test_uniform_sampling_with_constant_amplitude():
     expected = cfg.sample_size / 24
     chi2 = sum((counts[k] - expected) ** 2 / expected for k in counts)
     assert chi2 < stats.chi2.ppf(0.99, 23)
+
+
+BORN_CITIES = 5
+BORN_CHAINS = 5_000       # per block; four blocks make 20,000 independent chains
+BORN_STEPS = 50           # recorded steps per chain, after the warm-up
+BORN_NETWORKS = {         # random networks: the CNN's law is near uniform, the RBM's peaked
+    "cnn": lambda: partial(nqs.cnn_log_psi, nqs.init_params("cnn", (3, 4), 0.4, 1)),
+    "rbm": lambda: partial(nqs.rbm_tour_log_psi, nqs.init_params("rbm", (25, 10), 0.15, 1)),
+}
+
+
+@pytest.mark.parametrize("n_swaps", [1, 2, 3])
+@pytest.mark.parametrize("net", sorted(BORN_NETWORKS))
+def test_chains_sample_the_born_law(net, n_swaps):
+    """Each chain's last state after a pass follows the exact |psi|^2 over
+    the 24 pinned tours at N=5 (Pearson chi-square below the 99% critical
+    value). The chains arrive with a cached amplitude from another
+    snapshot, which the pass must refresh. Tours expected fewer than five
+    times are pooled into one bin, as the chi-square law needs."""
+    from scipy import stats
+
+    log_psi = BORN_NETWORKS[net]()
+    tours, p = pinned_born_law(log_psi, BORN_CITIES)
+    index = {tuple(t): i for i, t in enumerate(tours.tolist())}
+    counts = np.zeros(len(tours))
+    for block in range(4):
+        cfg = SamplerConfig(n_chains=BORN_CHAINS, n_swaps=n_swaps, max_swap_len=2, fix_first=True,
+                            sample_size=BORN_CHAINS * BORN_STEPS, seed=block)
+        chains = init_chains(linear_instance(BORN_CITIES), cfg)
+        for chain in chains:
+            chain.log_psi_current = 50.0
+        run_chains(chains, log_psi, cfg)
+        for chain in chains:
+            counts[index[tuple(chain.current.tolist())]] += 1
+    expected = counts.sum() * p
+    rare = expected < 5
+    if rare.any():
+        counts = np.append(counts[~rare], counts[rare].sum())
+        expected = np.append(expected[~rare], expected[rare].sum())
+    chi2 = ((counts - expected) ** 2 / expected).sum()
+    assert chi2 < stats.chi2.ppf(0.99, counts.size - 1), (chi2, rare.sum())
 
 
 @st.composite

@@ -1,16 +1,29 @@
 import itertools
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from helpers import random_symmetric_instance, traced_peak, window_preactivations
+from helpers import (
+    pinned_born_law,
+    random_symmetric_instance,
+    traced_peak,
+    window_preactivations,
+)
 from qtsp import nqs
 from qtsp.encoding import tours_to_sigma
 from qtsp.errors import InvalidTourError
 from qtsp.harness import default_target, midpoint_vmc_config
-from qtsp.instance import Instance, brute_force_optimum, linear_instance, tour_length
+from qtsp.instance import (
+    Instance,
+    brute_force_optimum,
+    linear_instance,
+    planted_optimum,
+    tour_length,
+    tour_lengths,
+)
 from qtsp.sampler import SamplerConfig, init_chains, run_chains
 from qtsp.vmc import (
     AdamState,
@@ -31,6 +44,10 @@ class TestLocalEnergy:
     def test_batched_guard(self):
         with pytest.raises(InvalidTourError):
             local_energies(linear_instance(3), np.array([[1, 2, 3], [1, 1, 2]]))
+
+    def test_rows_of_another_width_are_invalid(self):
+        with pytest.raises(InvalidTourError):
+            local_energies(linear_instance(4), np.array([[1, 2, 3], [3, 2, 1]]))
 
 
 class TestEstimateEnergy:
@@ -336,6 +353,49 @@ class TestTrain:
                       prune_no_improve_steps=1000)
         assert train(linear_instance(6), cfg).n_steps == 10
         assert nqs._cnn_unrolled.cache_info().currsize == 1
+
+
+def optimal_probability_after_exact_sampling(n, representation, seed, learning_rate=None,
+                                             steps=100):
+    """Train the midpoint ansatz on i.i.d. draws from its exact |psi|^2 over
+    the pinned tours, through the production gradient and Adam with no
+    Markov chain; returns the exact probability of the optimal tours."""
+    inst = linear_instance(n)
+    cfg = midpoint_vmc_config(n, representation, seed=seed, max_steps=steps)
+    if learning_rate is not None:
+        cfg = replace(cfg, learning_rate=learning_rate)
+    ansatz = build_ansatz(cfg, n)
+    theta = ansatz.get_flat()
+    adam = AdamState.zeros(theta.size)
+    rng = np.random.default_rng(seed)
+    for _ in range(steps):
+        tours, p = pinned_born_law(ansatz.log_psi_tours, n)
+        sample = tours[rng.choice(len(tours), size=cfg.sampler.sample_size, p=p)]
+        grad = ansatz.energy_gradient(sample, local_energies(inst, sample))
+        adam, theta = adam_update(adam, theta, grad, cfg)
+        ansatz.set_flat(theta)
+    tours, p = pinned_born_law(ansatz.log_psi_tours, n)
+    return p[tour_lengths(inst, tours) == planted_optimum(n)].sum()
+
+
+class TestLearningControl:
+    """Both representations learn, and the optimiser is what does it: on
+    exact samples at the midpoint rate, P(optimal tour) after 100 steps
+    read 1.000 (qubit) and 0.76-0.99 (qudit) over seeds 1-8 at N = 6, 7,
+    against 0.12-0.15 / 0.043-0.048 at learning rate 0, near the uniform
+    0.133 / 0.044. ACCEPTANCE 2 passes at learning rate 0, so it cannot
+    show this."""
+
+    FLOOR = {"qubit": 0.99, "qudit": 0.5}
+
+    @pytest.mark.parametrize("representation", ["qubit", "qudit"])
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_exact_samples_learn_the_optimum(self, n, representation):
+        for seed in (1, 2, 3):
+            learned = optimal_probability_after_exact_sampling(n, representation, seed)
+            frozen = optimal_probability_after_exact_sampling(n, representation, seed,
+                                                              learning_rate=0.0)
+            assert learned >= self.FLOOR[representation] and frozen <= 0.2, (seed, learned, frozen)
 
 
 class TestBuildAnsatz:
