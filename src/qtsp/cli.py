@@ -4,7 +4,8 @@ Subcommands: gen (write a linear instance), solve (one training run),
 exact (brute-force optimum), diag (lowest eigenvalue of the dense matrix
 at tiny N; not a tour length, see the README),
 sweep (random hyperparameter search) and report (CSV convergence table).
-Exit codes: 0 success, 1 usage error, 2 runtime error.
+Exit codes: 0 success, 1 usage error, 2 runtime error (for sweep: every
+trial failed).
 """
 
 from __future__ import annotations
@@ -231,7 +232,11 @@ def _cmd_sweep(args) -> int:
     _write_text(args.out, harness.summary_json(summary))
     if args.out != "-":
         print(f"converged: {summary.percent_converged:.1f}% of {summary.n_trials} trials")
-    return 0
+    errors = [t.error for t in summary.trials if t.error is not None]
+    if errors:
+        print(f"error: {len(errors)} of {summary.n_trials} trials failed; first: {errors[0]}",
+              file=sys.stderr)
+    return 2 if len(errors) == summary.n_trials else 0
 
 
 def _cmd_report(args) -> int:

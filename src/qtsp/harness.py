@@ -25,10 +25,11 @@ REPORT_HEADER = ["n_cities", "representation", "n_trials", "percent_converged", 
 
 
 def is_planted_linear(instance: Instance) -> bool:
-    """True for the benchmark layout with coordinates 1..N on a line."""
-    return instance.coords is not None and np.array_equal(
-        instance.coords, np.arange(1, instance.n_cities + 1, dtype=float)
-    )
+    """True for the benchmark layout: coordinates 1..N on a line and the
+    distances |x_i - x_j| between them."""
+    line = np.arange(1, instance.n_cities + 1, dtype=float)
+    return (instance.coords is not None and np.array_equal(instance.coords, line)
+            and np.array_equal(instance.dist, np.abs(line[:, None] - line)))
 
 
 def default_target(instance: Instance) -> float | None:

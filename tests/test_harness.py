@@ -23,7 +23,13 @@ from qtsp.harness import (
     summary_json,
     sweep,
 )
-from qtsp.instance import brute_force_optimum, instance_json, linear_instance, planted_optimum
+from qtsp.instance import (
+    Instance,
+    brute_force_optimum,
+    instance_json,
+    linear_instance,
+    planted_optimum,
+)
 from qtsp.vmc import VmcConfig, train
 
 
@@ -38,6 +44,21 @@ class TestDefaultTarget:
     def test_large_opaque_instance_has_no_target(self):
         inst = random_symmetric_instance(11, 0)
         assert default_target(inst) is None
+
+    def test_line_coordinates_with_other_distances_use_brute_force(self, tmp_path):
+        """Coordinates 1..N alone do not make the planted line: with every
+        distance 10 the optimum is 60, not the line's 2(N - 1) = 10, and
+        `--target auto` must aim at 60 or no run ever reaches it."""
+        inst = Instance(dist=10.0 * (1 - np.eye(6)), coords=np.arange(1.0, 7.0))
+        assert default_target(inst) == brute_force_optimum(inst)[1] == 60.0
+        path = tmp_path / "flat.json"
+        path.write_text(instance_json(inst))
+        out = tmp_path / "run.jsonl"
+        assert cli(["solve", "--rep", "qudit", "--instance", str(path), "--target", "auto",
+                    "--steps", "5", "--seed", "1", "--out", str(out)]) == 0
+        lines = [json.loads(line) for line in out.read_text().splitlines()]
+        assert lines[0]["target_energy"] == 60.0
+        assert lines[-1]["reason"] == "target-reached"
 
 
 class TestMidpointDefaults:
@@ -467,6 +488,30 @@ class TestCli:
         assert cli(args) == 0
         assert capsys.readouterr().out.encode() == path.read_bytes()
         assert load_summary(path) == summary
+
+    @pytest.mark.parametrize("failing, code", [(3, 2), (1, 0)])
+    def test_sweep_reports_failed_trials(self, tmp_path, capsys, monkeypatch, failing, code):
+        """Failed trials are named on stderr with the first message; a sweep
+        in which every trial failed exits 2. The summary is written either
+        way."""
+        from qtsp import nqs
+
+        real = nqs.cnn_energy_gradient
+        calls = []
+
+        def gradient(params, configs, energies):  # a failed trial makes one call
+            calls.append(None)
+            if len(calls) <= failing:
+                return np.full(params.n_real_params, np.nan)
+            return real(params, configs, energies)
+
+        monkeypatch.setattr(nqs, "cnn_energy_gradient", gradient)
+        path = tmp_path / "s.json"
+        assert cli(["sweep", "--cities", "12", "--rep", "qudit", "--trials", "3", "--seed", "0",
+                    "--steps", "5", "--out", str(path)]) == code
+        err = capsys.readouterr().err
+        assert f"error: {failing} of 3 trials failed; first: ValueError: non-finite gradient" in err
+        assert [t.reason for t in load_summary(path).trials].count("error") == failing
 
     def test_sweep_and_report(self, tmp_path, capsys):
         summary_path = tmp_path / "s.json"

@@ -1,4 +1,5 @@
 import math
+import warnings
 from collections import Counter, defaultdict
 from functools import partial
 
@@ -11,6 +12,7 @@ from qtsp import nqs
 from qtsp.instance import linear_instance
 from qtsp.sampler import (
     SamplerConfig,
+    _accept,
     _proposal_order,
     _proposal_tables,
     init_chains,
@@ -136,6 +138,42 @@ class TestProposeSwap:
                     assert np.array_equal(_proposal_order(np.full(4, u_max), n, cfg), expected)
 
 
+class TestAcceptRule:
+    """Edges of the Metropolis rule 1 - u <= |psi_new/psi_current|^2 on the
+    accept column u of a chain-step's draw."""
+
+    def test_zero_uniform_accepts_a_ratio_of_one(self):
+        assert 0.5 * np.log1p(-0.0) == 0.0
+        assert _accept(0.0, 0.0, 0.0)
+        assert _accept(np.zeros(3), np.full(3, 2.5 + 1j), np.zeros(3)).all()
+
+    def test_largest_uniform_never_accepts_a_vanishing_proposal(self):
+        """At the largest uniform below 1 the threshold is finite, so log psi
+        -inf never passes, from a finite or a vanishing current amplitude,
+        and the comparison warns about neither."""
+        u_max = np.nextafter(1.0, 0.0)
+        assert np.isfinite(0.5 * np.log1p(-u_max))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not _accept(0.0, -math.inf, u_max)
+            assert not _accept(np.array([0.0, -math.inf]), np.full(2, -math.inf),
+                               np.full(2, u_max)).any()
+
+    @pytest.mark.parametrize("n, n_swaps, fix_first", [(5, 1, True), (7, 3, False), (2, 2, True)])
+    def test_batched_draw_equals_per_row_draw(self, n, n_swaps, fix_first):
+        """The (C, total, .) draw of run_chains gives each chain-step the gather
+        indices of drawing its row alone, bit for bit."""
+        cfg = make_cfg(n_swaps=n_swaps, max_swap_len=2, fix_first=fix_first)
+        u = np.random.default_rng(n).random((3, 9, 2 * n_swaps + 2))
+        u[0, 0] = 0.0
+        u[2, 1] = np.nextafter(1.0, 0.0)
+        order = _proposal_order(u, n, cfg)
+        assert order.shape == (3, 9, n)
+        for c in range(3):
+            for s in range(9):
+                assert np.array_equal(order[c, s], _proposal_order(u[c, s], n, cfg))
+
+
 def proposal_distribution(state_tuple, cfg, n):
     """Exact proposal law for n_swaps=1 by enumerating the decision tree."""
     first, partners, counts = _proposal_tables(n, cfg.max_swap_len, cfg.fix_first)
@@ -173,7 +211,11 @@ class TestMhStep:
         dead = lambda t: np.full(len(t), -math.inf)
         chain = init_chains(linear_instance(5), cfg)[0]
         start = chain.current.copy()
-        for _ in range(50):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a leaked inf - inf RuntimeWarning fails
+            for _ in range(50):
+                mh_step(chain, dead, cfg)
+            chain.log_psi_current = np.complex128(-math.inf)  # both amplitudes vanish
             mh_step(chain, dead, cfg)
         assert chain.n_accepted == 0
         assert np.array_equal(chain.current, start)
@@ -183,7 +225,9 @@ class TestMhStep:
         cfg = make_cfg(n_chains=1, sample_size=1)
         broken = lambda t: np.full(len(t), math.nan)
         chain = init_chains(linear_instance(4), cfg)[0]
-        mh_step(chain, broken, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mh_step(chain, broken, cfg)
         assert chain.n_accepted == 0
         assert_run_chains_rejects_all(math.nan)
 
@@ -207,12 +251,14 @@ class TestMhStep:
 def assert_run_chains_rejects_all(value):
     """run_chains never leaves the start tour when every proposal has log psi
     `value`: neither from a finite cached amplitude nor from one that is
-    `value` itself."""
+    `value` itself, and no RuntimeWarning leaks from comparing them."""
     cfg = make_cfg(n_chains=3, sample_size=9, fix_first=True)
     start = init_chains(linear_instance(5), cfg)[0].current.copy()
     for log_psi in (amplitude_only_at(start, value), lambda t: np.full(len(t), value)):
         chains = init_chains(linear_instance(5), cfg)
-        sample = run_chains(chains, log_psi, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sample = run_chains(chains, log_psi, cfg)
         assert sample.n_accepted == 0 and sample.n_proposed == 3 * (10 * 5 + 3)
         assert (sample.configs == start).all()
         assert all(np.array_equal(c.current, start) for c in chains)
