@@ -22,6 +22,10 @@ from .instance import Instance, farthest_city_tour
 
 LogPsiFn = Callable[[np.ndarray], np.ndarray]
 
+# steps of uniforms a chain draws at a time: bounds a pass's scratch to
+# O(C * 64 * N); any block size gives the same trajectories
+_BLOCK_STEPS = 64
+
 
 @dataclass(frozen=True)
 class SamplerConfig:
@@ -118,30 +122,64 @@ def init_chains(instance: Instance, cfg: SamplerConfig) -> list[ChainState]:
     With fix_first the start city is 1 for every chain (and position 1 is
     frozen by the proposal rule); otherwise each chain draws its own start
     city from its RNG stream. Streams are the numbered children of
-    SeedSequence(cfg.seed), one per chain index. The cached log psi starts
-    at 0; run_chains refreshes it at the start of each pass.
+    SeedSequence(cfg.seed), one per chain index. Each distinct start city's
+    tour is built once and every chain gets its own copy. The cached log psi
+    starts at 0; run_chains refreshes it at the start of each pass.
     """
     n = instance.n_cities
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.n_chains)
-    chains = []
-    for ss in streams:
-        rng = np.random.default_rng(ss)
-        start = 1 if cfg.fix_first else int(rng.integers(1, n + 1))
-        tour = farthest_city_tour(instance, start)
-        chains.append(ChainState(current=tour, log_psi_current=0.0, rng=rng))
-    return chains
+    rngs = [np.random.default_rng(ss) for ss in streams]
+    starts = [1 if cfg.fix_first else int(rng.integers(1, n + 1)) for rng in rngs]
+    tours = {start: farthest_city_tour(instance, start) for start in set(starts)}
+    return [ChainState(current=tours[start].copy(), log_psi_current=0.0, rng=rng)
+            for start, rng in zip(starts, rngs)]
+
+
+def _advance(chains: list[ChainState], log_psi: LogPsiFn, cfg: SamplerConfig,
+             n_steps: int, record_from: int) -> Sample:
+    """Step the chains n_steps times as rows of one (C, N) array, starting
+    from their cached log psi, and write tours, log psi and counters back.
+
+    Each chain draws its uniforms from its own stream, _BLOCK_STEPS steps at
+    a time. Generator.random gives the same numbers drawn whole or in
+    blocks, so the block size never changes a trajectory; it bounds the
+    scratch to O(C * _BLOCK_STEPS * N). The Sample records each chain's
+    tours after the steps from record_from on, chain-major, and counts every
+    step.
+    """
+    tours = np.stack([c.current for c in chains])
+    current = np.array([c.log_psi_current for c in chains], dtype=np.complex128)
+    n_chains, n = tours.shape
+    row_start = n * np.arange(n_chains)[:, None, None]
+    accepted = np.zeros(n_chains, dtype=np.int64)
+    configs = np.empty((n_chains, n_steps - record_from, n), dtype=tours.dtype)
+    for block in range(0, n_steps, _BLOCK_STEPS):
+        u = np.stack([c.rng.random((min(_BLOCK_STEPS, n_steps - block), 2 * cfg.n_swaps + 2))
+                      for c in chains])
+        flat_order = _proposal_order(u, n, cfg)
+        flat_order += row_start
+        for k in range(u.shape[1]):
+            proposals = tours.reshape(-1)[flat_order[:, k]]
+            values = np.asarray(log_psi(proposals))
+            ok = _accept(current, values, u[:, k, -1])
+            np.copyto(tours, proposals, where=ok[:, None])
+            np.copyto(current, values, where=ok)
+            accepted += ok
+            if block + k >= record_from:
+                configs[:, block + k - record_from] = tours
+
+    for chain, tour, value, n_acc in zip(chains, tours, current, accepted):
+        chain.current, chain.log_psi_current = tour, complex(value)
+        chain.n_proposed += n_steps
+        chain.n_accepted += int(n_acc)
+    n_proposed, n_accepted = n_chains * n_steps, int(accepted.sum())
+    return Sample(configs.reshape(-1, n), n_accepted / n_proposed, n_proposed, n_accepted)
 
 
 def mh_step(state: ChainState, log_psi: LogPsiFn, cfg: SamplerConfig) -> ChainState:
-    """One Metropolis-Hastings update in place, the one-chain, one-step case
-    of run_chains; returns the state."""
-    u = state.rng.random(2 * cfg.n_swaps + 2)
-    proposal = state.current[_proposal_order(u, state.current.shape[0], cfg)]
-    value = complex(np.asarray(log_psi(proposal[None, :]))[0])
-    state.n_proposed += 1
-    if _accept(state.log_psi_current, value, u[-1]):
-        state.current, state.log_psi_current = proposal, value
-        state.n_accepted += 1
+    """One Metropolis-Hastings update in place from the chain's cached log
+    psi, the one-chain, one-step case of run_chains; returns the state."""
+    _advance([state], log_psi, cfg, n_steps=1, record_from=1)
     return state
 
 
@@ -155,30 +193,7 @@ def run_chains(chains: list[ChainState], log_psi: LogPsiFn, cfg: SamplerConfig) 
     snapshot. The chains step as rows of one array, with one evaluator call
     per step, and their trajectories equal stepping each alone with mh_step.
     """
-    tours = np.stack([c.current for c in chains])
-    n_chains, n = tours.shape
-    warmup = 10 * n
-    total = warmup + cfg.sample_size // n_chains
-    u = np.stack([c.rng.random((total, 2 * cfg.n_swaps + 2)) for c in chains])
-    flat_order = _proposal_order(u, n, cfg)
-    flat_order += n * np.arange(n_chains)[:, None, None]
-    current = np.array(log_psi(tours), dtype=np.complex128)
-    accepted = np.zeros(n_chains, dtype=np.int64)
-    configs = np.empty((n_chains, total - warmup, n), dtype=tours.dtype)
-    for step in range(total):
-        proposals = tours.reshape(-1)[flat_order[:, step]]
-        values = np.asarray(log_psi(proposals))
-        ok = _accept(current, values, u[:, step, -1])
-        np.copyto(tours, proposals, where=ok[:, None])
-        np.copyto(current, values, where=ok)
-        accepted += ok
-        if step >= warmup:
-            configs[:, step - warmup] = tours
-
-    for chain, tour, value, n_acc in zip(chains, tours, current, accepted):
-        chain.current, chain.log_psi_current = tour, complex(value)
-        chain.n_proposed += total
-        chain.n_accepted += int(n_acc)
-    n_proposed, n_accepted = n_chains * total, int(accepted.sum())
-    return Sample(configs=configs.reshape(-1, n), acceptance_rate=n_accepted / n_proposed,
-                  n_proposed=n_proposed, n_accepted=n_accepted)
+    for chain, value in zip(chains, np.asarray(log_psi(np.stack([c.current for c in chains])))):
+        chain.log_psi_current = complex(value)
+    warmup = 10 * chains[0].current.shape[0]
+    return _advance(chains, log_psi, cfg, warmup + cfg.sample_size // len(chains), warmup)

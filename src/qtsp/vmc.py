@@ -205,27 +205,32 @@ def adam_update(
     """One bias-corrected Adam step on the flat real parameter vector.
 
     Leaves its inputs as they are and holds four parameter-sized arrays:
-    the two moments, the new parameters and one scratch array."""
+    the two moments, the new parameters and one scratch array. Raises
+    ValueError naming the step on a non-finite gradient, and on a finite one
+    that overflows the second moment or the parameters."""
     grad = np.asarray(grad, dtype=float)
     if grad.shape != params.shape:
         raise ValueError(f"gradient shape {grad.shape} does not match params {params.shape}")
     if not np.all(np.isfinite(grad)):
         raise ValueError(f"non-finite gradient at Adam step {state.step_count + 1}")
     t = state.step_count + 1
-    scratch = np.multiply(1 - ADAM_BETA1, grad)
-    m = np.multiply(ADAM_BETA1, state.first_moment)
-    m += scratch                                            # b1 m + (1 - b1) g
-    np.multiply(1 - ADAM_BETA2, grad, out=scratch)
-    scratch *= grad
-    v = np.multiply(ADAM_BETA2, state.second_moment)
-    v += scratch                                            # b2 v + (1 - b2) g g
-    new_params = np.divide(v, 1 - ADAM_BETA2 ** t)
-    np.sqrt(new_params, out=new_params)
-    new_params += ADAM_EPS                                  # sqrt(v_hat) + eps
-    np.divide(m, 1 - ADAM_BETA1 ** t, out=scratch)
-    np.multiply(cfg.learning_rate, scratch, out=scratch)   # lr m_hat
-    np.divide(scratch, new_params, out=scratch)
-    np.subtract(params, scratch, out=new_params)
+    with np.errstate(over="ignore", invalid="ignore"):  # the result is checked below
+        scratch = np.multiply(1 - ADAM_BETA1, grad)
+        m = np.multiply(ADAM_BETA1, state.first_moment)
+        m += scratch                                        # b1 m + (1 - b1) g
+        np.multiply(1 - ADAM_BETA2, grad, out=scratch)
+        scratch *= grad
+        v = np.multiply(ADAM_BETA2, state.second_moment)
+        v += scratch                                        # b2 v + (1 - b2) g g
+        new_params = np.divide(v, 1 - ADAM_BETA2 ** t)
+        np.sqrt(new_params, out=new_params)
+        new_params += ADAM_EPS                              # sqrt(v_hat) + eps
+        np.divide(m, 1 - ADAM_BETA1 ** t, out=scratch)
+        np.multiply(cfg.learning_rate, scratch, out=scratch)   # lr m_hat
+        np.divide(scratch, new_params, out=scratch)
+        np.subtract(params, scratch, out=new_params)
+    if not (np.all(np.isfinite(new_params)) and np.all(np.isfinite(v))):
+        raise ValueError(f"non-finite update at Adam step {t}")
     return AdamState(first_moment=m, second_moment=v, step_count=t), new_params
 
 

@@ -61,6 +61,20 @@ class TestDefaultTarget:
         assert lines[-1]["reason"] == "target-reached"
 
 
+    @pytest.mark.parametrize("coords", [None, np.arange(12.0)], ids=["no-coords", "from-zero"])
+    def test_line_distances_alone_use_the_planted_value(self, tmp_path, coords):
+        """Distances |i - j| fix the optimum at 2(N - 1) whatever the
+        coordinates; at N=12 brute force is out of reach, so `--target auto`
+        has only the planted value to aim at."""
+        inst = Instance(dist=linear_instance(12).dist, coords=coords)
+        assert default_target(inst) == planted_optimum(12) == 22.0
+        path = tmp_path / "line.json"
+        path.write_text(instance_json(inst))
+        out = tmp_path / "run.jsonl"
+        assert cli(["solve", "--rep", "qudit", "--instance", str(path), "--target", "auto",
+                    "--steps", "2", "--seed", "1", "--out", str(out)]) == 0
+        assert json.loads(out.read_text().splitlines()[0])["target_energy"] == 22.0
+
 class TestMidpointDefaults:
     def test_qudit_midpoints(self):
         hyper = midpoint_hyperparams(12, "qudit")
@@ -329,6 +343,20 @@ class TestCli:
         assert footer["best_energy"] == lines[1]["best_energy"]
         assert footer["best_tour"] == lines[1]["best_tour"]
         assert footer["time_to_target_s"] is None
+
+    # step 2 samples on step 1's finite but ~1e300 parameters, which overflow in the
+    # network; a warning from Adam's own arithmetic still fails the test
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning:qtsp.nqs")
+    def test_overflowing_update_ends_the_run_at_its_step(self, tmp_path, capsys):
+        """At lr 1e300 the second update overflows to NaN parameters. The run
+        stops there, at step 2, instead of sampling on them at step 3."""
+        out = tmp_path / "run.jsonl"
+        assert cli(["solve", "--rep", "qudit", "--cities", "8", "--steps", "60", "--seed", "1",
+                    "--lr", "1e300", "--out", str(out)]) == 2
+        assert "error: non-finite update at Adam step 2" in capsys.readouterr().err
+        footer = json.loads(out.read_text().splitlines()[-1])
+        assert (footer["reason"], footer["n_steps"]) == ("error", 2)
+        assert footer["error"] == "ValueError: non-finite update at Adam step 2"
 
     def test_error_before_any_step_gives_a_footer_with_no_best(self, tmp_path, monkeypatch):
         from qtsp import vmc

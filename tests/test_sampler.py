@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 from collections import Counter, defaultdict
@@ -7,10 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import pinned_born_law
+from helpers import pinned_born_law, traced_peak
 from qtsp import nqs
 from qtsp.instance import linear_instance
 from qtsp.sampler import (
+    _BLOCK_STEPS,
     SamplerConfig,
     _accept,
     _proposal_order,
@@ -353,6 +355,79 @@ class TestRunChains:
         assert first.n_proposed == second.n_proposed
         assert first.acceptance_rate == second.acceptance_rate == 1.0
 
+
+def chain_digest(h, chains):
+    """Feed each chain's tour, counters, cached log psi and next uniform to h."""
+    for c in chains:
+        h.update(np.asarray(c.current, dtype=np.int64).tobytes())
+        h.update(np.array([c.n_proposed, c.n_accepted], dtype=np.int64).tobytes())
+        h.update(np.complex128(c.log_psi_current).tobytes())
+        h.update(np.float64(c.rng.random()).tobytes())
+
+
+class TestPinnedTrajectories:
+    """sha256 of tours and counters recorded with the sampler that pre-drew a
+    whole pass and stepped mh_step on its own code: the one blocked stepping
+    path must reproduce both bit for bit."""
+
+    PASSES = {
+        (1, False): "f6ac17be8aec8182558dcab61e50497d5ec2ea49097943e9f775cb638c277f03",
+        (1, True): "78343c1c57e366c4840e60450004171a0d8ddeede17c3d858e187ede3781b943",
+        (2, False): "add14409047ee95eab0a743b757e2e2d912f5a946437b086db00a704ccf74bc3",
+        (2, True): "1d6eb6c5b11c77cacb3ad764e0fea3ad586c5fec60162b0ec49e536af7433919",
+        (3, False): "426c531bb9d11828a7b79b909974ac3cfb32af837c8dedfdb6db521bd421069f",
+        (3, True): "d58ab99132b17ea02c4f6f7d8741e65c797ef29a93277d3ec225fd86aa11adad",
+    }
+
+    @pytest.mark.parametrize("n_swaps, fix_first", sorted(PASSES))
+    def test_run_chains_passes(self, n_swaps, fix_first):
+        """Two passes of three chains at N=7 under a random CNN: 70 warm-up
+        and 40 recorded steps each, so every pass crosses a block boundary."""
+        assert 10 * 7 + 40 > _BLOCK_STEPS
+        log_psi = partial(nqs.cnn_log_psi, nqs.init_params("cnn", (3, 4), 0.4, 1))
+        cfg = SamplerConfig(n_chains=3, n_swaps=n_swaps, max_swap_len=3, fix_first=fix_first,
+                            sample_size=120, seed=n_swaps)
+        chains = init_chains(linear_instance(7), cfg)
+        h = hashlib.sha256()
+        for _ in range(2):
+            sample = run_chains(chains, log_psi, cfg)
+            h.update(sample.configs.astype(np.int64).tobytes())
+            h.update(np.array([sample.n_proposed, sample.n_accepted], dtype=np.int64).tobytes())
+        chain_digest(h, chains)
+        assert h.hexdigest() == self.PASSES[n_swaps, fix_first]
+
+    def test_mh_steps(self):
+        log_psi = partial(nqs.cnn_log_psi, nqs.init_params("cnn", (3, 4), 0.4, 2))
+        cfg = SamplerConfig(n_chains=1, n_swaps=2, max_swap_len=2, fix_first=False,
+                            sample_size=1, seed=5)
+        chain = init_chains(linear_instance(6), cfg)[0]
+        h = hashlib.sha256()
+        for _ in range(200):
+            mh_step(chain, log_psi, cfg)
+            h.update(np.asarray(chain.current, dtype=np.int64).tobytes())
+        chain_digest(h, [chain])
+        assert h.hexdigest() == "b33d68d0d2f2aad00a5a511db17a471acbcf5e14a7c892a208c34d265e067fe4"
+
+
+class TestPassMemory:
+    """A pass draws its uniforms a block of steps at a time, so its scratch
+    is O(C * block * N), not O(C * (10 N + S / C) * N)."""
+
+    @staticmethod
+    def pass_peak(sample_size):
+        """Traced peak of one pass at the paper's N=96 with 64 chains."""
+        cfg = SamplerConfig(n_chains=64, n_swaps=2, max_swap_len=48, fix_first=True,
+                            sample_size=sample_size, seed=1)
+        return traced_peak(run_chains, init_chains(linear_instance(96), cfg), constant_psi, cfg)
+
+    def test_pass_at_paper_scale(self):
+        assert self.pass_peak(512) < 16e6
+
+    def test_scratch_does_not_grow_with_the_steps_per_chain(self):
+        """From S=512 to S=4096 the peak grows by the (S, N) recorded
+        configs alone, give or take 64 kB."""
+        scratch = [self.pass_peak(s) - s * 96 * 8 for s in (512, 4096)]
+        assert scratch[1] - scratch[0] < 64 * 1024
 
 def test_uniform_sampling_with_constant_amplitude():
     """Symmetric proposals plus unit acceptance leave the uniform law

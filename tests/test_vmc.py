@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -171,6 +172,17 @@ class TestAdam:
         state = AdamState(first_moment=np.zeros(1), second_moment=np.zeros(1), step_count=6)
         with pytest.raises(ValueError, match="step 7"):
             adam_update(state, np.zeros(1), np.array([math.nan]), self.cfg())
+
+    @pytest.mark.parametrize("grad, lr", [(1e200, 0.05), (1e10, 1e308)],
+                             ids=["squared-gradient", "learning-rate"])
+    def test_overflowing_update_reports_step(self, grad, lr):
+        """A finite gradient whose update overflows (g * g, or lr * m_hat
+        over sqrt(v_hat)) raises naming the step, and warns about nothing."""
+        state = AdamState(first_moment=np.zeros(2), second_moment=np.zeros(2), step_count=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite update at Adam step 3"):
+                adam_update(state, np.zeros(2), np.array([grad, 0.5]), self.cfg(lr=lr))
 
     def test_second_moment_nonnegative(self):
         state = AdamState.zeros(3)
