@@ -60,7 +60,6 @@ class TestDefaultTarget:
         assert lines[0]["target_energy"] == 60.0
         assert lines[-1]["reason"] == "target-reached"
 
-
     @pytest.mark.parametrize("coords", [None, np.arange(12.0)], ids=["no-coords", "from-zero"])
     def test_line_distances_alone_use_the_planted_value(self, tmp_path, coords):
         """Distances |i - j| fix the optimum at 2(N - 1) whatever the
@@ -74,6 +73,7 @@ class TestDefaultTarget:
         assert cli(["solve", "--rep", "qudit", "--instance", str(path), "--target", "auto",
                     "--steps", "2", "--seed", "1", "--out", str(out)]) == 0
         assert json.loads(out.read_text().splitlines()[0])["target_energy"] == 22.0
+
 
 class TestMidpointDefaults:
     def test_qudit_midpoints(self):
