@@ -211,7 +211,7 @@ def _cmd_solve(args) -> int:
         def sink(line: dict) -> None:
             if not out:
                 out.append(stack.enter_context(open(args.out, "w", encoding="utf-8")))
-            out[0].write(json.dumps(line) + "\n")
+            out[0].write(json.dumps(line, allow_nan=False) + "\n")
             out[0].flush()
         record = train(instance, cfg, target_energy=target,
                        sink=None if args.out is None else sink)

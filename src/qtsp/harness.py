@@ -12,14 +12,16 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
+from .errors import QtspError
 from .instance import Instance, brute_force_optimum, planted_optimum
 from .sampler import SamplerConfig
-from .vmc import VmcConfig, train
+from .vmc import RunRecord, VmcConfig, train
 
 REPORT_HEADER = ["n_cities", "representation", "n_trials", "percent_converged", "median_time_s"]
 
@@ -172,22 +174,23 @@ def sweep(
 ) -> SweepSummary:
     """Random hyperparameter search with the standard pruning rules. Every
     trial runs to `default_target(instance)` within `budgets`, as in
-    `make_vmc_config`. A trial that raises is recorded as an error and the
-    sweep goes on."""
+    `make_vmc_config`; an instance with no such target is refused with
+    QtspError before any trial runs. A trial that raises, its configuration
+    included, is recorded as an error and the sweep goes on."""
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
     space = search_space if search_space is not None else default_search_space(
         instance.n_cities, representation
     )
     target = default_target(instance)
+    if target is None:
+        raise QtspError("cannot derive a target for this instance, so no trial could converge")
 
     def run_trial(trial: int) -> TrialResult:
         hyperparams, run_seed = sample_trial_hyperparams(space, seed, trial)
-        cfg = make_vmc_config(representation, hyperparams, seed=run_seed, **budgets)
-        # train's footer, which ends every run it starts; the defaults stand
-        # in when it fails before its first line
-        end = {"reason": "error", "n_steps": 0, "best_energy": None, "total_time_s": 0.0,
-               "time_to_target_s": None}
+        # train's footer, which ends every run it starts; an empty run's
+        # stands in when the trial fails before train's first line
+        end = RunRecord([], "error", 0.0, math.inf, None, None).footer()
 
         def keep_footer(line: dict) -> None:
             if line["type"] == "footer":
@@ -195,6 +198,7 @@ def sweep(
 
         error = None
         try:
+            cfg = make_vmc_config(representation, hyperparams, seed=run_seed, **budgets)
             train(instance, cfg, target_energy=target, sink=keep_footer)
         except Exception as exc:  # one failed trial must not lose the others
             error = f"{type(exc).__name__}: {exc}"

@@ -59,6 +59,8 @@ class Instance:
             coords = np.asarray(self.coords, dtype=float)
             if coords.shape != (n,):
                 raise InvalidInstanceError("coords must list one position per city")
+            if not np.all(np.isfinite(coords)):
+                raise InvalidInstanceError("coords must be finite")
             object.__setattr__(self, "coords", coords)
 
     @property

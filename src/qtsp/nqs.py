@@ -284,9 +284,10 @@ def rbm_tour_energy_gradient(params: RbmParams, tours: np.ndarray,
     c^T conj t for b and (c * conj t)^T sigma for W; since the amplitude is
     holomorphic, the (Re, Im) entries of each block are 2 Re G and 2 Im G,
     and the 2 is folded into c. A sum over sigma is the sum over sigma + 1,
-    which is 2 on the up spins, less the sum over all samples. Slot by
-    slot, the (B, N) one-hot of the cities there gives that slot's columns
-    of the a and W blocks, written straight into the flat result.
+    which is 2 on the up spins, less the sum over all samples. City by
+    city, the (B, N) indicator of the slots that hold it gives that city's
+    N contiguous entries of the a and W blocks, written straight into the
+    flat result.
     """
     idx = _tour_columns(params, tours)
     batch, n = idx.shape
@@ -308,13 +309,11 @@ def rbm_tour_energy_gradient(params: RbmParams, tours: np.ndarray,
     g_b.imag = c @ theta.imag
     t = theta.view(np.float64)                                  # (B, 2H), Re and Im side by side
     t *= c[:, None]                                             # c conj t
-    up = np.empty((batch, n))
-    rows = np.arange(batch)
-    for s in range(n):
-        up.fill(0.0)
-        up[rows, idx[:, s] // n] = 2.0                          # slot s of sigma + 1
-        g_a.real[s::n] = c @ up
-        g_w[:, :, s] = (up.T @ t).view(np.complex128).T
+    cities = idx // n
+    for j in range(n):
+        up = (cities == j) * 2.0                                # city j's row of sigma + 1
+        g_a.real[j * n:(j + 1) * n] = c @ up
+        g_w[:, j] = (up.T @ t).view(np.complex128).T
     g_a.real -= c.sum()
     g_a.imag = 0.0
     g_w -= g_b[:, None, None]

@@ -67,8 +67,9 @@ class VmcConfig:
             raise ValueError("max_steps must be positive")
         if self.prune_no_improve_steps < 1:
             raise ValueError("prune_no_improve_steps must be positive")
-        if not self.prune_wall_clock_s >= 0:  # NaN fails every comparison
-            raise ValueError(f"prune_wall_clock_s must be >= 0, got {self.prune_wall_clock_s}")
+        if not 0 <= self.prune_wall_clock_s < math.inf:
+            raise ValueError(f"prune_wall_clock_s must be finite and >= 0, "
+                             f"got {self.prune_wall_clock_s}")
 
 
 @dataclass(frozen=True)
@@ -99,7 +100,7 @@ class RunRecord:
     termination_reason: str
     total_time_s: float
     best_energy: float
-    best_tour: np.ndarray
+    best_tour: np.ndarray | None  # None if no step finished
     time_to_target_s: float | None
 
     @property
@@ -109,6 +110,21 @@ class RunRecord:
     @property
     def n_steps(self) -> int:
         return len(self.steps)
+
+    def footer(self, error: str | None = None) -> dict:
+        """The run stream's last line: how the run ended, with best_energy
+        and best_tour null if no step finished, and the message of what
+        stopped it if that was an error."""
+        return {
+            "type": "footer",
+            "reason": self.termination_reason,
+            "total_time_s": self.total_time_s,
+            "n_steps": self.n_steps,
+            "best_energy": None if self.best_tour is None else self.best_energy,
+            "best_tour": None if self.best_tour is None else self.best_tour.tolist(),
+            "time_to_target_s": self.time_to_target_s,
+            **({} if error is None else {"error": error}),
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -238,22 +254,19 @@ def adam_update(
 # training loop
 # ---------------------------------------------------------------------------
 
-SinkFn = Callable[[dict], None]
-
-
 def train(
     instance: Instance,
     cfg: VmcConfig,
     target_energy: float | None = None,
-    sink: SinkFn | None = None,
+    sink: Callable[[dict], None] | None = None,
 ) -> RunRecord:
     """Run the sample/estimate/update loop and collect per-step statistics.
 
     The optional sink receives one JSON-serializable dict per emitted line
-    (header, then one per step, then a footer), enabling streaming JSONL
-    output that stays parseable mid-run. An exception that escapes the
-    loop still gets the footer, with reason "error" and an "error" message
-    (best_energy and best_tour null if no step finished), and is re-raised.
+    (header, then one per step, then RunRecord.footer), enabling streaming
+    JSONL output that stays parseable mid-run. An exception that escapes
+    the loop still gets the footer, with reason "error" and an "error"
+    message, and is re-raised.
     """
     from . import __version__
 
@@ -261,16 +274,16 @@ def train(
     chains = init_chains(instance, cfg.sampler)
     theta = ansatz.get_flat()
     adam = AdamState.zeros(theta.shape[0])
+    emit = sink if sink is not None else lambda line: None
 
-    if sink is not None:
-        sink({
-            "type": "header",
-            "version": __version__,
-            "n_cities": instance.n_cities,
-            "representation": cfg.representation,
-            "target_energy": target_energy,
-            "config": asdict(cfg),
-        })
+    emit({
+        "type": "header",
+        "version": __version__,
+        "n_cities": instance.n_cities,
+        "representation": cfg.representation,
+        "target_energy": target_energy,
+        "config": asdict(cfg),
+    })
 
     steps: list[StepStats] = []
     best = math.inf
@@ -285,9 +298,6 @@ def train(
         for step in range(1, cfg.max_steps + 1):
             sample = run_chains(chains, ansatz.log_psi_tours, cfg.sampler)
             energies = local_energies(instance, sample.configs)
-            e_mean = float(energies.mean())
-            e_std = float(energies.std(ddof=1))  # VmcConfig guarantees two samples
-
             i_min = int(np.argmin(energies))
             if energies[i_min] < best - IMPROVEMENT_TOL:
                 if math.isfinite(best):  # the first sample only sets the baseline
@@ -299,15 +309,14 @@ def train(
             stats = StepStats(
                 step=step,
                 wall_clock_s=wall,
-                energy_mean=e_mean,
-                energy_std=e_std,
+                energy_mean=float(energies.mean()),
+                energy_std=float(energies.std(ddof=1)),  # VmcConfig guarantees two samples
                 acceptance_rate=sample.acceptance_rate,
                 best_energy=best,
                 best_tour=best_tour,
             )
             steps.append(stats)
-            if sink is not None:
-                sink({"type": "step", **vars(stats), "best_tour": best_tour.tolist()})
+            emit({"type": "step", **vars(stats), "best_tour": best_tour.tolist()})
 
             if target_energy is not None and best <= target_energy + TARGET_TOL:
                 time_to_target = wall
@@ -319,34 +328,15 @@ def train(
             if wall >= cfg.prune_wall_clock_s:
                 reason = "time-limit"
                 break
-            if step == cfg.max_steps:
-                reason = "max-steps"
-                break
-
-            grad = ansatz.energy_gradient(sample.configs, energies)
-            adam, theta = adam_update(adam, theta, grad, cfg)
-            ansatz.set_flat(theta)
+            if step < cfg.max_steps:  # the last step's gradient would go unused
+                grad = ansatz.energy_gradient(sample.configs, energies)
+                adam, theta = adam_update(adam, theta, grad, cfg)
+                ansatz.set_flat(theta)
     except BaseException as exc:
         reason, error = "error", f"{type(exc).__name__}: {exc}"
         raise
     finally:  # every run that wrote a header ends with a footer, whatever stopped it
-        total = time.perf_counter() - t0
-        if sink is not None:
-            sink({
-                "type": "footer",
-                "reason": reason,
-                "total_time_s": total,
-                "n_steps": len(steps),
-                "best_energy": None if best_tour is None else best,
-                "best_tour": None if best_tour is None else best_tour.tolist(),
-                "time_to_target_s": time_to_target,
-                **({} if error is None else {"error": error}),
-            })
-    return RunRecord(
-        steps=steps,
-        termination_reason=reason,
-        total_time_s=total,
-        best_energy=best,
-        best_tour=best_tour,
-        time_to_target_s=time_to_target,
-    )
+        record = RunRecord(steps, reason, time.perf_counter() - t0, best, best_tour,
+                           time_to_target)
+        emit(record.footer(error))
+    return record

@@ -193,6 +193,16 @@ class TestSweep:
             "error", 0, None, False)
         assert trial.error == "InvalidTourError: invalid configuration reached the energy estimator"
 
+    def test_a_trial_with_an_invalid_configuration_is_recorded(self):
+        """A configuration error used to raise out of the sweep and lose
+        every finished trial; now it is one more failed trial."""
+        space = {**default_search_space(5, "qudit"), "n_chains": [3], "sample_size": [256]}
+        summary = sweep(linear_instance(5), "qudit", space, 2, 0, max_steps=5)
+        for trial in summary.trials:
+            assert (trial.reason, trial.n_steps, trial.best_energy, trial.converged) == (
+                "error", 0, None, False)
+            assert trial.error == "ValueError: sample_size must be a positive multiple of n_chains"
+
     def test_summary_without_error_field_still_loads(self, tmp_path):
         """Summaries written before failed trials were recorded have no
         error key; they load with error None."""
@@ -469,7 +479,7 @@ class TestCli:
     @pytest.mark.parametrize("flag,value", [
         ("--lr", "nan"), ("--lr", "inf"), ("--time-limit", "nan"), ("--time-limit", "-1"),
         ("--no-improve-steps", "0"), ("--chains", "3"), ("--channels", "0"),
-        ("--kernel", "0"), ("--kernel", "99"), ("--seed", "-1"),
+        ("--kernel", "0"), ("--kernel", "99"), ("--seed", "-1"), ("--time-limit", "inf"),
     ])
     def test_meaningless_budget_is_rejected_before_any_output(self, tmp_path, flag, value):
         out = tmp_path / "r.jsonl"
@@ -609,6 +619,16 @@ class TestCli:
         path.write_text(instance_json(inst))
         assert cli(["solve", "--rep", "qudit", "--instance", str(path),
                     "--steps", "1", "--target", "auto"]) == 2
+
+    def test_sweep_without_derivable_target_is_runtime_error(self, tmp_path, capsys):
+        """No trial of such a sweep could converge; it used to report 0% and exit 0."""
+        path = tmp_path / "big.json"
+        path.write_text(instance_json(random_symmetric_instance(11, 0)))
+        out = tmp_path / "s.json"
+        assert cli(["sweep", "--instance", str(path), "--rep", "qudit", "--trials", "2",
+                    "--steps", "5", "--out", str(out)]) == 2
+        assert "cannot derive a target" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_seed_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QTSP_SEED", "31")

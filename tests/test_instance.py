@@ -244,7 +244,8 @@ class TestInstanceJson:
         '{"n_cities": true, "coords": null, "dist": [[0]]}',
         '{"coords": null, "dist": [[0, 1], [1, 0]]}',
         '[]',
-    ], ids=["not-json", "coords-string", "fractional-n", "bool-n", "no-n", "list"])
+        '{"n_cities": 2, "coords": [1, NaN], "dist": [[0, 1], [1, 0]]}',
+    ], ids=["not-json", "coords-string", "fractional-n", "bool-n", "no-n", "list", "coords-nan"])
     def test_malformed_file_is_named(self, tmp_path, text):
         path = tmp_path / "bad.json"
         path.write_text(text)

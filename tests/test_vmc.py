@@ -315,6 +315,24 @@ class TestTrain:
         assert parsed[-1]["best_energy"] == record.best_energy
         assert len(parsed) == record.n_steps + 2
 
+    def test_record_is_the_same_with_or_without_a_sink(self):
+        """train emits every line through one path; its return value and
+        RunRecord.footer do not depend on whether anyone reads them."""
+        def without_clocks(record):
+            return (record.termination_reason, record.best_energy, record.best_tour.tolist(),
+                    record.time_to_target_s,
+                    [(s.step, s.energy_mean, s.energy_std, s.acceptance_rate, s.best_energy,
+                      s.best_tour.tolist()) for s in record.steps])
+
+        cfg = midpoint_vmc_config(5, "qudit", seed=1, max_steps=20)
+        lines = []
+        streamed = train(linear_instance(5), cfg, sink=lines.append)
+        silent = train(linear_instance(5), cfg, sink=None)
+        assert without_clocks(silent) == without_clocks(streamed)
+        footer = silent.footer()
+        assert list(footer) == list(lines[-1])
+        assert {**footer, "total_time_s": None} == {**lines[-1], "total_time_s": None}
+
     def test_qubit_representation_trains(self):
         inst = linear_instance(4)
         cfg = midpoint_vmc_config(4, "qubit", seed=0, max_steps=3000)
