@@ -50,7 +50,8 @@ def default_target(instance: Instance) -> float | None:
 # ---------------------------------------------------------------------------
 
 def default_search_space(n_cities: int, representation: str) -> dict:
-    """Declared desk-scale ranges for the random search."""
+    """Declared desk-scale ranges for the random search. An entry is a
+    ("log-uniform", lo, hi) range or a list of choices, whatever its key."""
     n = n_cities
     space: dict = {
         "n_chains": [4, 8, 16],
@@ -69,17 +70,28 @@ def default_search_space(n_cities: int, representation: str) -> dict:
     return space
 
 
+def _log_range(key: str, entry) -> tuple[float, float] | None:
+    """(lo, hi) of a ("log-uniform", lo, hi) search-space entry, None for a
+    list of choices; any other entry raises ValueError naming its key."""
+    if isinstance(entry, list) and entry:
+        return None
+    if (isinstance(entry, tuple) and len(entry) == 3 and entry[0] == "log-uniform"
+            and 0 < entry[1] <= entry[2]):
+        return entry[1], entry[2]
+    raise ValueError(f"search space entry {key!r} must be a ('log-uniform', lo, hi) range "
+                     f"with 0 < lo <= hi or a non-empty list of choices, got {entry!r}")
+
+
 def midpoint_hyperparams(n_cities: int, representation: str) -> dict:
     """Midpoints of the default ranges (middle list element, geometric
-    midpoint for the log-uniform learning rate)."""
-    space = default_search_space(n_cities, representation)
+    midpoint of a log-uniform range)."""
     out = {}
-    for key, values in space.items():
-        if key == "learning_rate":
-            _, lo, hi = values
-            out[key] = float(np.sqrt(lo * hi))
+    for key, entry in default_search_space(n_cities, representation).items():
+        log_range = _log_range(key, entry)
+        if log_range is None:
+            out[key] = entry[len(entry) // 2]
         else:
-            out[key] = values[len(values) // 2]
+            out[key] = float(np.sqrt(log_range[0] * log_range[1]))
     return out
 
 
@@ -150,16 +162,18 @@ class SweepSummary:
 
 def sample_trial_hyperparams(search_space: dict, sweep_seed: int, trial: int) -> tuple[dict, int]:
     """Draw one trial's hyperparameters and run seed; deterministic in
-    (sweep_seed, trial) and independent of execution order."""
+    (sweep_seed, trial) and independent of execution order. A list entry
+    is drawn uniformly from its choices, a log-uniform range log-uniformly."""
     rng = np.random.default_rng(np.random.SeedSequence([sweep_seed, trial]))
     picked = {}
     for key in sorted(search_space):
-        values = search_space[key]
-        if key == "learning_rate":
-            _, lo, hi = values
-            picked[key] = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+        entry = search_space[key]
+        log_range = _log_range(key, entry)
+        if log_range is None:
+            picked[key] = entry[int(rng.integers(len(entry)))]
         else:
-            picked[key] = values[int(rng.integers(len(values)))]
+            lo, hi = log_range
+            picked[key] = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
     run_seed = int(rng.integers(2 ** 31))
     return picked, run_seed
 
@@ -175,10 +189,14 @@ def sweep(
     """Random hyperparameter search with the standard pruning rules. Every
     trial runs to `default_target(instance)` within `budgets`, as in
     `make_vmc_config`; an instance with no such target is refused with
-    QtspError before any trial runs. A trial that raises, its configuration
-    included, is recorded as an error and the sweep goes on."""
+    QtspError, and a bad budget with ValueError, before any trial runs. A
+    trial that raises, its sampled configuration included, is recorded as
+    an error and the sweep goes on."""
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
+    # the budgets are every trial's, so check them once, on the midpoint configuration
+    make_vmc_config(representation, midpoint_hyperparams(instance.n_cities, representation),
+                    seed=seed, **budgets)
     space = search_space if search_space is not None else default_search_space(
         instance.n_cities, representation
     )

@@ -85,9 +85,18 @@ def planted_optimum(n_cities: int) -> float:
 
 
 def are_permutations(orders: np.ndarray) -> np.ndarray:
-    """Which rows of a (B, N) batch are permutations of 1..N, as a (B,) bool array."""
+    """Which rows of a (B, N) batch of integer labels are permutations of
+    1..N, as a (B,) bool array.
+
+    Counts each row's labels, those outside 1..N clipped into the bins 0
+    and N + 1: N labels cover the N values 1..N only if each occurs once.
+    One bincount over the batch, O(B·N), with no sort."""
     orders = np.asarray(orders)
-    return (np.sort(orders, axis=1) == np.arange(1, orders.shape[1] + 1)).all(axis=1)
+    b, n = orders.shape
+    bins = np.clip(orders, 0, n + 1, dtype=np.int64)
+    bins += np.arange(0, b * (n + 2), n + 2)[:, None]  # row r counts from bin r·(N + 2)
+    counts = np.bincount(bins.ravel(), minlength=b * (n + 2)).reshape(b, n + 2)
+    return counts[:, 1:-1].all(axis=1)
 
 
 def is_permutation(order: TourLike, n_cities: int) -> bool:

@@ -203,6 +203,44 @@ class TestSweep:
                 "error", 0, None, False)
             assert trial.error == "ValueError: sample_size must be a positive multiple of n_chains"
 
+    def test_default_space_draws_are_pinned(self):
+        assert sample_trial_hyperparams(default_search_space(8, "qudit"), 7, 0) == (
+            {"kernel_size": 6, "learning_rate": 0.062291329744741435, "max_swap_len": 4,
+             "n_chains": 8, "n_channels": 8, "n_swaps": 4, "sample_size": 256}, 119253154)
+
+    def test_a_learning_rate_list_is_a_set_of_choices(self):
+        """The entry, not the key, decides how a value is drawn: a list is
+        drawn from its choices, whatever its key."""
+        space = {"learning_rate": [1e-4, 1e-3, 1e-1]}
+        drawn = [sample_trial_hyperparams(space, 0, t)[0]["learning_rate"] for t in range(200)]
+        assert set(drawn) == {1e-4, 1e-3, 1e-1}
+
+    def test_a_single_learning_rate_choice_runs(self):
+        space = {**default_search_space(4, "qudit"), "learning_rate": [0.01]}
+        summary = sweep(linear_instance(4), "qudit", space, 2, 0, max_steps=5)
+        assert [t.hyperparams["learning_rate"] for t in summary.trials] == [0.01, 0.01]
+        assert [t.error for t in summary.trials] == [None, None]
+
+    @pytest.mark.parametrize("key, entry", [
+        ("learning_rate", ("uniform", 1e-3, 1e-1)), ("learning_rate", 0.01),
+        ("learning_rate", ("log-uniform", 1e-1, 1e-3)), ("learning_rate", ("log-uniform", 0, 1)),
+        ("n_chains", 4), ("n_chains", []), ("n_chains", ("log-uniform", 4)),
+    ])
+    def test_any_other_entry_is_refused_naming_its_key(self, key, entry, monkeypatch):
+        monkeypatch.setattr("qtsp.harness.train", lambda *args, **kwargs: pytest.fail("trained"))
+        space = {**default_search_space(4, "qudit"), key: entry}
+        with pytest.raises(ValueError, match=f"search space entry '{key}'"):
+            sweep(linear_instance(4), "qudit", space, 2, 0, max_steps=5)
+
+    @pytest.mark.parametrize("budget", [{"prune_wall_clock_s": -1.0}, {"max_steps": 0},
+                                        {"prune_no_improve_steps": 0}])
+    def test_a_bad_budget_is_refused_before_any_trial(self, budget, monkeypatch):
+        """Budgets are the same for every trial, so a bad one refuses the
+        sweep rather than failing each trial."""
+        monkeypatch.setattr("qtsp.harness.train", lambda *args, **kwargs: pytest.fail("trained"))
+        with pytest.raises(ValueError, match=next(iter(budget))):
+            sweep(linear_instance(5), "qudit", None, 2, 0, **budget)
+
     def test_summary_without_error_field_still_loads(self, tmp_path):
         """Summaries written before failed trials were recorded have no
         error key; they load with error None."""
@@ -550,6 +588,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"error: {failing} of 3 trials failed; first: ValueError: non-finite gradient" in err
         assert [t.reason for t in load_summary(path).trials].count("error") == failing
+
+    def test_sweep_with_a_bad_budget_writes_no_summary(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        assert cli(["sweep", "--cities", "5", "--rep", "qudit", "--trials", "2",
+                    "--time-limit", "-1", "--out", str(path)]) == 2
+        assert not path.exists()
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "prune_wall_clock_s must be finite and >= 0" in err
 
     def test_sweep_and_report(self, tmp_path, capsys):
         summary_path = tmp_path / "s.json"

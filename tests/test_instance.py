@@ -131,8 +131,11 @@ class TestArePermutations:
         assert are_permutations(batch).tolist() == expected
 
     def test_named_cases(self):
-        batch = [[1, 3, 2, 4], [1, 1, 2, 3], [0, 2, 1, 3], [1, 2, 3, 5], [-1, 2, 3, 4], [4, 3, 2, 1]]
-        assert are_permutations(batch).tolist() == [True, False, False, False, False, True]
+        batch = [[1, 3, 2, 4], [1, 1, 2, 3], [0, 2, 1, 3], [1, 2, 3, 5], [-1, 2, 3, 4], [4, 3, 2, 1],
+                 [1, 2, 3, 10**12], [-10**12, 2, 3, 4], [10**12, -10**12, 1, 2]]
+        assert are_permutations(batch).tolist() == [True, False, False, False, False, True,
+                                                    False, False, False]
+        assert are_permutations(np.zeros((0, 4), dtype=np.int64)).shape == (0,)
 
 
 class TestSpinColumns:

@@ -354,6 +354,17 @@ class TestTrain:
         record = train(linear_instance(5), cfg)
         assert record.n_steps == 5
 
+    @pytest.mark.parametrize("representation", ["qudit", "qubit"])
+    def test_never_sorts(self, representation, monkeypatch):
+        """Each step's sample is checked by counting labels, so training
+        never calls numpy's sort."""
+        def forbidden(*args, **kwargs):
+            raise AssertionError("train called np.sort")
+
+        monkeypatch.setattr(np, "sort", forbidden)
+        cfg = midpoint_vmc_config(8, representation, seed=1, max_steps=3)
+        assert train(linear_instance(8), cfg).n_steps == 3
+
     def test_qubit_training_never_builds_the_spin_batch(self, monkeypatch):
         """The spin network reads tours: neither the (S, N^2) spin batch nor
         the spin-input hidden layer is built, and the column cache holds
