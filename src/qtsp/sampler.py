@@ -1,14 +1,7 @@
-"""Metropolis-Hastings sampling over valid tours.
-
-Proposals swap the occupations of two tour positions (a number of swaps
-per proposal drawn uniformly from 1..n_swaps, the second position at most
-a given cyclic distance from the first), so chains never leave the
-permutation manifold and the encoding penalties never enter the dynamics.
-Acceptance follows min(1, |psi(n')/psi(n)|^2) on cached log-amplitudes.
-
-The amplitude evaluator is a callable mapping a (B, N) int array of tours
-to a (B,) complex array of log psi values.
-"""
+"""Metropolis-Hastings sampling over valid tours. Proposals swap tour positions
+(1..n_swaps swaps, each within a cyclic distance), so chains never leave the
+permutation manifold and the encoding penalties never enter the dynamics;
+acceptance follows min(1, |psi(n')/psi(n)|^2) on cached log-amplitudes."""
 
 from __future__ import annotations
 
@@ -20,11 +13,9 @@ import numpy as np
 
 from .instance import Instance, farthest_city_tour
 
-LogPsiFn = Callable[[np.ndarray], np.ndarray]
+LogPsiFn = Callable[[np.ndarray], np.ndarray]  # (B, N) int tours -> (B,) complex log psi
 
-# steps of uniforms a chain draws at a time: bounds a pass's scratch to
-# O(C * 64 * N); any block size gives the same trajectories
-_BLOCK_STEPS = 64
+_BLOCK_STEPS = 64  # steps of uniforms a chain draws at a time (see _advance)
 
 
 @dataclass(frozen=True)
@@ -37,26 +28,37 @@ class SamplerConfig:
     seed: int
 
     def __post_init__(self):
-        if self.n_chains < 1:
-            raise ValueError("n_chains must be positive")
-        if self.n_swaps < 1:
-            raise ValueError("n_swaps must be positive")
-        if self.max_swap_len < 1:
-            raise ValueError("max_swap_len must be at least 1")
+        for name in ("n_chains", "n_swaps", "max_swap_len"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive")
         if self.sample_size < 1 or self.sample_size % self.n_chains:
             raise ValueError("sample_size must be a positive multiple of n_chains")
 
 
-@dataclass
-class ChainState:
-    """One Markov chain: its current tour, the cached log-amplitude of that
-    tour, a private RNG stream and acceptance counters."""
+@dataclass(eq=False)
+class Chains:
+    """C Markov chains as one batch, stepped in place. chains[i] is the one-row
+    batch of views of row i, which reads as one chain through the properties."""
 
-    current: np.ndarray
-    log_psi_current: complex
-    rng: np.random.Generator
-    n_accepted: int = 0
-    n_proposed: int = 0
+    tours: np.ndarray                # (C, N) int, each chain's tour
+    log_psi: np.ndarray              # (C,) complex, the cached log psi of the tours
+    accepted: np.ndarray             # (C,) int, steps accepted
+    proposed: np.ndarray             # (C,) int, steps proposed
+    rngs: list[np.random.Generator]  # each chain's private stream
+
+    def __len__(self) -> int:
+        return len(self.rngs)
+
+    def __getitem__(self, i: int) -> Chains:
+        i = range(len(self))[i]  # IndexError past the end also ends iteration
+        return Chains(*(field[i:i + 1] for field in vars(self).values()))
+
+    current = property(lambda self: self.tours.squeeze(0).copy())  # later steps leave it alone
+    log_psi_current = property(lambda self: self.log_psi.item(),
+                               lambda self, value: self.log_psi.fill(value))
+    n_accepted = property(lambda self: self.accepted.item())
+    n_proposed = property(lambda self: self.proposed.item())
+    rng = property(lambda self: self.rngs[0])
 
 
 @dataclass(frozen=True)
@@ -67,13 +69,12 @@ class Sample:
     acceptance_rate: float
     n_proposed: int
     n_accepted: int
+    chain_acceptance: np.ndarray  # (C,) each chain's acceptance rate in the pass
 
 
-@lru_cache(maxsize=128)
 def _proposal_tables(n: int, max_swap_len: int, fix_first: bool):
-    """Positions eligible as the first pick; every position's eligible
-    partners within the cyclic swap range as one (n, width) array, each row
-    padded with the position itself; and the (n,) partner counts."""
+    """Positions eligible as the first pick; each position's partners in the
+    cyclic swap range, padded with itself to one (n, width) array; their counts."""
     reach = min(max_swap_len, n - 1)
     banned = {0} if fix_first else set()
     rows = [sorted({(p + d) % n for d in range(-reach, reach + 1)} - {p} - banned)
@@ -81,6 +82,19 @@ def _proposal_tables(n: int, max_swap_len: int, fix_first: bool):
     width = max(1, max(map(len, rows)))
     partners = np.array([r + [p] * (width - len(r)) for p, r in enumerate(rows)])
     return np.arange(int(fix_first), n), partners, np.array([len(r) for r in rows])
+
+
+@lru_cache(maxsize=128)
+def _order_scaffold(n: int, max_swap_len: int, fix_first: bool, n_swaps: int):
+    """_proposal_order's fixed arrays, built once: the tables, the floats that
+    scale its uniforms, the swap indices and the (1, n) identity gather."""
+    first, partners, counts = _proposal_tables(n, max_swap_len, fix_first)
+    arrays = (first, partners, counts.astype(float), np.array(float(first.shape[0])),
+              np.array(float(n_swaps)), np.arange(n_swaps, dtype=float),
+              np.arange(n)[None])
+    for array in arrays:
+        array.flags.writeable = False  # every caller shares them
+    return arrays
 
 
 def _proposal_order(u: np.ndarray, n: int, cfg: SamplerConfig) -> np.ndarray:
@@ -93,20 +107,19 @@ def _proposal_order(u: np.ndarray, n: int, cfg: SamplerConfig) -> np.ndarray:
     draws how many of the swaps are made, uniformly from 1..n_swaps, and
     the last column is the accept decision's. A swap past that count, and
     a position without partners (only N=2 with fix_first), swaps with
-    itself. Each swap is a transposition and a count of one is always
-    possible, so every tour is reachable from any start.
+    itself. A count of one is always possible, so every tour is reachable.
     """
-    first, partners, counts = _proposal_tables(n, cfg.max_swap_len, cfg.fix_first)
     lead, u = u.shape[:-1], u.reshape(-1, u.shape[-1])
-    p = first[(u[:, 0:-2:2] * first.shape[0]).astype(np.int64)]
+    first, partners, counts, n_first, n_swaps, swap_index, identity = _order_scaffold(
+        n, cfg.max_swap_len, cfg.fix_first, cfg.n_swaps)
+    row_start = np.arange(0, u.shape[0] * n, n)[:, None]
+    p = first[(u[:, 0:-2:2] * n_first).astype(np.int64)]
     q = partners[p, (u[:, 1:-2:2] * counts[p]).astype(np.int64)]
-    np.copyto(q, p, where=u[:, -2:-1] * cfg.n_swaps < np.arange(cfg.n_swaps))
-    order = np.tile(np.arange(n), (u.shape[0], 1))
-    row_start = np.arange(0, order.size, n)[:, None]
-    flat, p, q = order.reshape(-1), p + row_start, q + row_start
-    for pk, qk in zip(p.T, q.T):
+    np.copyto(q, p, where=u[:, -2:-1] * n_swaps < swap_index)
+    flat = identity.repeat(u.shape[0], axis=0).reshape(-1)
+    for pk, qk in zip((p + row_start).T, (q + row_start).T):
         flat[pk], flat[qk] = flat[qk], flat[pk]
-    return order.reshape(*lead, n)
+    return flat.reshape(*lead, n)
 
 
 def _accept(current, new, u):
@@ -116,48 +129,42 @@ def _accept(current, new, u):
         return np.real(new) - np.real(current) >= 0.5 * np.log1p(-u)
 
 
-def init_chains(instance: Instance, cfg: SamplerConfig) -> list[ChainState]:
-    """Start each chain on a greedy farthest-city tour.
-
-    With fix_first the start city is 1 for every chain (and position 1 is
-    frozen by the proposal rule); otherwise each chain draws its own start
-    city from its RNG stream. Streams are the numbered children of
-    SeedSequence(cfg.seed), one per chain index. Each distinct start city's
-    tour is built once and every chain gets its own copy. The cached log psi
-    starts at 0; run_chains refreshes it at the start of each pass.
-    """
+def init_chains(instance: Instance, cfg: SamplerConfig) -> Chains:
+    """Start each chain on a greedy farthest-city tour, with log psi 0: from
+    city 1 with fix_first (whose proposals never move position 1), else
+    from a city drawn from the chain's stream, the numbered child of
+    SeedSequence(cfg.seed) at its index."""
     n = instance.n_cities
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.n_chains)
     rngs = [np.random.default_rng(ss) for ss in streams]
     starts = [1 if cfg.fix_first else int(rng.integers(1, n + 1)) for rng in rngs]
     tours = {start: farthest_city_tour(instance, start) for start in set(starts)}
-    return [ChainState(current=tours[start].copy(), log_psi_current=0.0, rng=rng)
-            for start, rng in zip(starts, rngs)]
+    return Chains(np.stack([tours[start] for start in starts]), np.zeros(cfg.n_chains, complex),
+                  *np.zeros((2, cfg.n_chains), dtype=np.int64), rngs)
 
 
-def _advance(chains: list[ChainState], log_psi: LogPsiFn, cfg: SamplerConfig,
-             n_steps: int, record_from: int) -> Sample:
-    """Step the chains n_steps times as rows of one (C, N) array, starting
-    from their cached log psi, and write tours, log psi and counters back.
-
-    Each chain draws its uniforms from its own stream, _BLOCK_STEPS steps at
-    a time. Generator.random gives the same numbers drawn whole or in
-    blocks, so the block size never changes a trajectory; it bounds the
-    scratch to O(C * _BLOCK_STEPS * N). The Sample records each chain's
-    tours after the steps from record_from on, chain-major, and counts every
-    step.
-    """
-    tours = np.stack([c.current for c in chains])
-    current = np.array([c.log_psi_current for c in chains], dtype=np.complex128)
+@np.errstate(over="ignore", invalid="ignore")  # a diverging network's inf or NaN is rejected
+def _advance(chains: Chains, log_psi: LogPsiFn, cfg: SamplerConfig, n_steps: int,
+             record_from: int, refresh: bool = False) -> np.ndarray:
+    """Step the chains n_steps times in place from their cached log psi (or,
+    with refresh, from a new evaluation of their tours); return the
+    (C, n_steps - record_from, N) tours after the steps from record_from on.
+    Each chain draws its uniforms _BLOCK_STEPS steps at a time into its rows
+    of one (C, block, 2 * n_swaps + 2) array: Generator.random gives the same
+    numbers drawn whole or in blocks, so the scratch is O(C * _BLOCK_STEPS * N)
+    and the block size never changes a trajectory."""
+    tours, current, accepted = chains.tours, chains.log_psi, chains.accepted
     n_chains, n = tours.shape
-    row_start = n * np.arange(n_chains)[:, None, None]
-    accepted = np.zeros(n_chains, dtype=np.int64)
+    row_start = np.arange(0, n_chains * n, n)[:, None]
     configs = np.empty((n_chains, n_steps - record_from, n), dtype=tours.dtype)
+    if refresh:
+        current[:] = log_psi(tours)
     for block in range(0, n_steps, _BLOCK_STEPS):
-        u = np.stack([c.rng.random((min(_BLOCK_STEPS, n_steps - block), 2 * cfg.n_swaps + 2))
-                      for c in chains])
+        u = np.empty((n_chains, min(_BLOCK_STEPS, n_steps - block), 2 * cfg.n_swaps + 2))
+        for rng, rows in zip(chains.rngs, u):
+            rng.random(out=rows)
         flat_order = _proposal_order(u, n, cfg)
-        flat_order += row_start
+        flat_order += row_start[:, None]
         for k in range(u.shape[1]):
             proposals = tours.reshape(-1)[flat_order[:, k]]
             values = np.asarray(log_psi(proposals))
@@ -167,33 +174,24 @@ def _advance(chains: list[ChainState], log_psi: LogPsiFn, cfg: SamplerConfig,
             accepted += ok
             if block + k >= record_from:
                 configs[:, block + k - record_from] = tours
-
-    for chain, tour, value, n_acc in zip(chains, tours, current, accepted):
-        chain.current, chain.log_psi_current = tour, complex(value)
-        chain.n_proposed += n_steps
-        chain.n_accepted += int(n_acc)
-    n_proposed, n_accepted = n_chains * n_steps, int(accepted.sum())
-    return Sample(configs.reshape(-1, n), n_accepted / n_proposed, n_proposed, n_accepted)
+    chains.proposed += n_steps
+    return configs
 
 
-def mh_step(state: ChainState, log_psi: LogPsiFn, cfg: SamplerConfig) -> ChainState:
-    """One Metropolis-Hastings update in place from the chain's cached log
-    psi, the one-chain, one-step case of run_chains; returns the state."""
-    _advance([state], log_psi, cfg, n_steps=1, record_from=1)
+def mh_step(state: Chains, log_psi: LogPsiFn, cfg: SamplerConfig) -> Chains:
+    """One step of run_chains' routine from the cached log psi, in place; returns state."""
+    _advance(state, log_psi, cfg, n_steps=1, record_from=1)
     return state
 
 
-def run_chains(chains: list[ChainState], log_psi: LogPsiFn, cfg: SamplerConfig) -> Sample:
-    """Advance all chains and record cfg.sample_size configurations.
-
-    Each chain discards a warm-up of 10 * N steps, then records its next
-    sample_size // n_chains steps, chain-major: configs.reshape(n_chains,
-    -1, N)[c] is chain c's trajectory. Cached amplitudes are refreshed at
-    the start so the pass is consistent with the current evaluator
-    snapshot. The chains step as rows of one array, with one evaluator call
-    per step, and their trajectories equal stepping each alone with mh_step.
-    """
-    for chain, value in zip(chains, np.asarray(log_psi(np.stack([c.current for c in chains])))):
-        chain.log_psi_current = complex(value)
-    warmup = 10 * chains[0].current.shape[0]
-    return _advance(chains, log_psi, cfg, warmup + cfg.sample_size // len(chains), warmup)
+def run_chains(chains: Chains, log_psi: LogPsiFn, cfg: SamplerConfig) -> Sample:
+    """Refresh the cached log psi, discard a warm-up of 10 * N steps per chain,
+    then record the next sample_size // n_chains, chain-major: configs.reshape(
+    n_chains, -1, N)[c] is chain c's trajectory, the same as stepping it alone."""
+    n_chains, n = chains.tours.shape
+    n_steps, before = 10 * n + cfg.sample_size // n_chains, chains.accepted.copy()
+    configs = _advance(chains, log_psi, cfg, n_steps, 10 * n, refresh=True)
+    accepted = chains.accepted - before
+    n_proposed, n_accepted = n_chains * n_steps, int(accepted.sum())
+    return Sample(configs.reshape(-1, n), n_accepted / n_proposed, n_proposed, n_accepted,
+                  accepted / n_steps)

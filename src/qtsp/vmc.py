@@ -316,7 +316,9 @@ def train(
                 best_tour=best_tour,
             )
             steps.append(stats)
-            emit({"type": "step", **vars(stats), "best_tour": best_tour.tolist()})
+            emit({"type": "step", **vars(stats), "best_tour": best_tour.tolist(),
+                  "acceptance_min": float(sample.chain_acceptance.min()),
+                  "acceptance_max": float(sample.chain_acceptance.max())})
 
             if target_energy is not None and best <= target_energy + TARGET_TOL:
                 time_to_target = wall

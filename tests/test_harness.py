@@ -406,6 +406,14 @@ class TestCli:
         assert (footer["reason"], footer["n_steps"]) == ("error", 2)
         assert footer["error"] == "ValueError: non-finite update at Adam step 2"
 
+    def test_a_diverging_network_fails_on_its_update_not_on_a_warning(self, capsys):
+        """At lr 1e300 step 2's network overflows to inf or NaN log psi. The
+        sampler rejects those proposals without a RuntimeWarning, which here
+        would be an error, so the run still stops on Adam's own check."""
+        assert cli(["solve", "--rep", "qudit", "--cities", "8", "--steps", "6", "--seed", "1",
+                    "--lr", "1e300"]) == 2
+        assert "error: non-finite update at Adam step 2" in capsys.readouterr().err
+
     def test_error_before_any_step_gives_a_footer_with_no_best(self, tmp_path, monkeypatch):
         from qtsp import vmc
 

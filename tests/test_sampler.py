@@ -356,6 +356,55 @@ class TestRunChains:
         assert first.acceptance_rate == second.acceptance_rate == 1.0
 
 
+class TestChainRows:
+    """chains[i] is the one-row batch of views of row i, which mh_step steps
+    in place and which reads and sets like one chain."""
+
+    def test_set_log_psi_is_the_rows_own_and_the_next_step_reads_it(self):
+        cfg = make_cfg(n_chains=3, sample_size=3)
+        chains = init_chains(linear_instance(5), cfg)
+        chains[1].log_psi_current = 50.0  # no constant-amplitude proposal passes e^-100
+        assert chains.log_psi.tolist() == [0, 50, 0]
+        start = chains.tours.copy()
+        mh_step(chains[1], constant_psi, cfg)
+        assert (chains[1].n_proposed, chains[1].n_accepted) == (1, 0)
+        assert chains[1].log_psi_current == 50.0
+        assert np.array_equal(chains.tours, start)
+        mh_step(chains[0], constant_psi, cfg)
+        assert chains[0].n_accepted == 1 and chains[0].log_psi_current == 0.0
+
+    def test_stepping_a_row_leaves_the_other_rows_as_they_were(self):
+        cfg = make_cfg(n_chains=3, sample_size=3)
+        chains, untouched = (init_chains(linear_instance(6), cfg) for _ in range(2))
+        for _ in range(5):
+            mh_step(chains[1], constant_psi, cfg)
+        assert (chains[1].n_proposed, chains[1].n_accepted) == (5, 5)
+        for i in (0, 2, -1):
+            assert np.array_equal(chains[i].current, untouched[i].current)
+            assert (chains[i].n_proposed, chains[i].n_accepted) == (0, 0)
+            assert chains[i].rng.random() == untouched[i].rng.random()
+
+    def test_a_tour_read_before_a_step_stays_as_it_was(self):
+        cfg = make_cfg(n_chains=2, sample_size=2)
+        chain = init_chains(linear_instance(6), cfg)[0]
+        before = chain.current
+        kept = before.copy()
+        mh_step(chain, constant_psi, cfg)
+        assert np.array_equal(before, kept)
+        assert not np.array_equal(chain.current, kept)
+
+    def test_pass_acceptance_per_chain(self):
+        """Each chain's rate in a pass brackets the pooled rate; under a
+        constant amplitude every chain accepts every step."""
+        cfg = make_cfg(n_chains=4, sample_size=40, seed=3)
+        chains = init_chains(linear_instance(6), cfg)
+        sample = run_chains(chains, linear_psi(6), cfg)
+        rates = sample.chain_acceptance
+        assert rates.min() <= sample.acceptance_rate <= rates.max() and rates.min() < rates.max()
+        assert rates * (10 * 6 + 10) == pytest.approx(chains.accepted)
+        assert (run_chains(chains, constant_psi, cfg).chain_acceptance == 1.0).all()
+
+
 def chain_digest(h, chains):
     """Feed each chain's tour, counters, cached log psi and next uniform to h."""
     for c in chains:

@@ -315,6 +315,24 @@ class TestTrain:
         assert parsed[-1]["best_energy"] == record.best_energy
         assert len(parsed) == record.n_steps + 2
 
+    def test_step_lines_carry_the_chains_acceptance_range(self, monkeypatch):
+        """acceptance_min and acceptance_max are the lowest and highest of the
+        chains' own rates in the step's pass, so they bracket acceptance_rate;
+        under a constant amplitude every chain accepts every proposal."""
+        def step_lines():
+            lines = []
+            train(linear_instance(6), midpoint_vmc_config(6, "qudit", seed=3, max_steps=20),
+                  sink=lines.append)
+            return [line for line in lines if line["type"] == "step"]
+
+        steps = step_lines()
+        assert all(s["acceptance_min"] <= s["acceptance_rate"] <= s["acceptance_max"]
+                   for s in steps)
+        assert any(s["acceptance_min"] < s["acceptance_max"] for s in steps)
+        monkeypatch.setattr(nqs, "cnn_log_psi", lambda params, tours: np.zeros(len(tours)))
+        assert all(s["acceptance_min"] == s["acceptance_rate"] == s["acceptance_max"] == 1.0
+                   for s in step_lines())
+
     def test_record_is_the_same_with_or_without_a_sink(self):
         """train emits every line through one path; its return value and
         RunRecord.footer do not depend on whether anyone reads them."""
