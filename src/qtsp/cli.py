@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from dataclasses import fields
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +60,7 @@ def _resolve_instance(args) -> Instance:
     return load_instance(args.instance)
 
 
+@lru_cache(maxsize=1)  # built once: each parser is a reference cycle left to the collector
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qtsp", description=__doc__)
     parser.add_argument("--version", action="version", version=f"qtsp {__version__}")

@@ -122,13 +122,6 @@ def _proposal_order(u: np.ndarray, n: int, cfg: SamplerConfig) -> np.ndarray:
     return flat.reshape(*lead, n)
 
 
-def _accept(current, new, u):
-    """Metropolis decisions 1 - u <= |psi_new/psi_current|^2 on cached log-amplitudes:
-    1 - u is in (0, 1], so a ratio >= 1 always passes; NaN and -inf proposals never do."""
-    with np.errstate(invalid="ignore"):  # inf - inf where both amplitudes vanish
-        return np.real(new) - np.real(current) >= 0.5 * np.log1p(-u)
-
-
 def init_chains(instance: Instance, cfg: SamplerConfig) -> Chains:
     """Start each chain on a greedy farthest-city tour, with log psi 0: from
     city 1 with fix_first (whose proposals never move position 1), else
@@ -143,7 +136,7 @@ def init_chains(instance: Instance, cfg: SamplerConfig) -> Chains:
                   *np.zeros((2, cfg.n_chains), dtype=np.int64), rngs)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a diverging network's inf or NaN is rejected
+@np.errstate(over="ignore", invalid="ignore")  # inf or NaN log psi, and inf - inf, are rejected
 def _advance(chains: Chains, log_psi: LogPsiFn, cfg: SamplerConfig, n_steps: int,
              record_from: int, refresh: bool = False) -> np.ndarray:
     """Step the chains n_steps times in place from their cached log psi (or,
@@ -165,10 +158,12 @@ def _advance(chains: Chains, log_psi: LogPsiFn, cfg: SamplerConfig, n_steps: int
             rng.random(out=rows)
         flat_order = _proposal_order(u, n, cfg)
         flat_order += row_start[:, None]
+        # accept iff 1 - u <= |psi_new/psi|^2, 1 - u in (0, 1]: NaN and -inf never pass
+        thresholds = 0.5 * np.log1p(-u[..., -1])
         for k in range(u.shape[1]):
-            proposals = tours.reshape(-1)[flat_order[:, k]]
-            values = np.asarray(log_psi(proposals))
-            ok = _accept(current, values, u[:, k, -1])
+            proposals = tours.take(flat_order[:, k])
+            values = log_psi(proposals)
+            ok = values.real - current.real >= thresholds[:, k]
             np.copyto(tours, proposals, where=ok[:, None])
             np.copyto(current, values, where=ok)
             accepted += ok

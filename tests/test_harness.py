@@ -693,6 +693,27 @@ class TestCli:
         header = json.loads(out.read_text().splitlines()[0])
         assert header["config"]["sampler"]["seed"] == 31
 
+    @pytest.mark.parametrize("flags, key, given, fallback", [
+        (["--seed", "3"], "seed", 3, 31),
+        (["--no-fix-first"], "fix_first", False, True),
+    ], ids=["seed", "no-fix-first"])
+    def test_calls_share_one_parser_but_no_values(self, tmp_path, monkeypatch, flags, key,
+                                                   given, fallback):
+        """cli parses every call with one parser; a flag given to one call
+        does not reach the next, which takes QTSP_SEED or pins city 1."""
+        from qtsp import cli as cli_module
+
+        parsers, parse_args = [], cli_module._Parser.parse_args
+        monkeypatch.setattr(cli_module._Parser, "parse_args",
+                            lambda self, *a: parsers.append(self) or parse_args(self, *a))
+        monkeypatch.setenv("QTSP_SEED", "31")
+        out = tmp_path / "run.jsonl"
+        for extra, expected in ((flags, given), ([], fallback)):
+            assert cli(["solve", "--rep", "qudit", "--cities", "4", "--steps", "1", *extra,
+                        "--out", str(out)]) == 0
+            assert json.loads(out.read_text().splitlines()[0])["config"]["sampler"][key] == expected
+        assert len(parsers) == 2 and parsers[0] is parsers[1]
+
     def test_help_exits_zero(self):
         assert cli(["--help"]) == 0
         assert cli(["solve", "--help"]) == 0

@@ -14,7 +14,6 @@ from qtsp.instance import linear_instance
 from qtsp.sampler import (
     _BLOCK_STEPS,
     SamplerConfig,
-    _accept,
     _proposal_order,
     _proposal_tables,
     init_chains,
@@ -140,14 +139,39 @@ class TestProposeSwap:
                     assert np.array_equal(_proposal_order(np.full(4, u_max), n, cfg), expected)
 
 
+class FilledUniforms:
+    """Stands in for a chain's Generator: every uniform it draws is `value`."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self, out):
+        out.fill(self.value)
+        return out
+
+
+def chains_drawing(value, log_psi_current):
+    """Chains at N=5, one per cached log psi, whose every uniform is `value`."""
+    cfg = make_cfg(n_chains=len(log_psi_current), sample_size=len(log_psi_current))
+    chains = init_chains(linear_instance(5), cfg)
+    chains.rngs[:] = [FilledUniforms(value) for _ in chains.rngs]
+    chains.log_psi[:] = log_psi_current
+    return chains, cfg
+
+
 class TestAcceptRule:
     """Edges of the Metropolis rule 1 - u <= |psi_new/psi_current|^2 on the
-    accept column u of a chain-step's draw."""
+    accept column u of a chain-step's draw, taken through mh_step."""
 
     def test_zero_uniform_accepts_a_ratio_of_one(self):
         assert 0.5 * np.log1p(-0.0) == 0.0
-        assert _accept(0.0, 0.0, 0.0)
-        assert _accept(np.zeros(3), np.full(3, 2.5 + 1j), np.zeros(3)).all()
+        chain, cfg = chains_drawing(0.0, [0.0])
+        start = chain.current
+        mh_step(chain, constant_psi, cfg)
+        assert chain.n_accepted == 1 and not np.array_equal(chain.current, start)
+        chains, cfg = chains_drawing(0.0, np.zeros(3))
+        mh_step(chains, lambda t: np.full(len(t), 2.5 + 1j), cfg)
+        assert (chains.accepted == 1).all() and (chains.log_psi == 2.5 + 1j).all()
 
     def test_largest_uniform_never_accepts_a_vanishing_proposal(self):
         """At the largest uniform below 1 the threshold is finite, so log psi
@@ -155,11 +179,16 @@ class TestAcceptRule:
         and the comparison warns about neither."""
         u_max = np.nextafter(1.0, 0.0)
         assert np.isfinite(0.5 * np.log1p(-u_max))
+        dead = lambda t: np.full(len(t), -math.inf)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert not _accept(0.0, -math.inf, u_max)
-            assert not _accept(np.array([0.0, -math.inf]), np.full(2, -math.inf),
-                               np.full(2, u_max)).any()
+            chain, cfg = chains_drawing(u_max, [0.0])
+            mh_step(chain, dead, cfg)
+            assert chain.n_accepted == 0 and chain.log_psi_current == 0.0
+            chains, cfg = chains_drawing(u_max, [0.0, -math.inf])
+            start = chains.tours.copy()
+            mh_step(chains, dead, cfg)
+            assert not chains.accepted.any() and np.array_equal(chains.tours, start)
 
     @pytest.mark.parametrize("n, n_swaps, fix_first", [(5, 1, True), (7, 3, False), (2, 2, True)])
     def test_batched_draw_equals_per_row_draw(self, n, n_swaps, fix_first):
