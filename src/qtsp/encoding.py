@@ -56,12 +56,12 @@ def default_penalties(instance: Instance) -> PenaltyConfig:
 
 def tour_to_onehot(order: TourLike) -> np.ndarray:
     """Permutation matrix z with z[i-1, a-1] = 1 iff tour slot a holds city i."""
-    order = np.asarray(order, dtype=np.int64)
+    order = np.asarray(order)
     n = order.shape[0]
     if not is_permutation(order, n):
         raise InvalidTourError(f"cannot one-hot encode a non-permutation: {order.tolist()}")
     z = np.zeros((n, n), dtype=np.int64)
-    z[order - 1, np.arange(n)] = 1
+    z[order.astype(np.int64) - 1, np.arange(n)] = 1
     return z
 
 
@@ -104,7 +104,7 @@ def qubo_objective(instance: Instance, z: np.ndarray) -> float:
 def qudit_diagonal_energy(instance: Instance, config: TourLike, pen: PenaltyConfig) -> float:
     """Diagonal element of the globally-penalized Hamiltonian: the cyclic
     tour length on valid configurations, the flat penalty p otherwise."""
-    config = np.asarray(config, dtype=np.int64)
+    config = np.asarray(config)
     if not is_permutation(config, instance.n_cities):
         return pen.p
     return float(tour_lengths(instance, config[None])[0])

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -208,7 +207,7 @@ def sweep(
         hyperparams, run_seed = sample_trial_hyperparams(space, seed, trial)
         # train's footer, which ends every run it starts; an empty run's
         # stands in when the trial fails before train's first line
-        end = RunRecord([], "error", 0.0, math.inf, None, None).footer()
+        end = RunRecord([], "error", 0.0).footer()
 
         def keep_footer(line: dict) -> None:
             if line["type"] == "footer":

@@ -24,6 +24,9 @@ from .errors import InvalidInstanceError, InvalidTourError, SizeLimitError
 TourLike = Sequence[int] | np.ndarray
 
 BRUTE_FORCE_MAX_CITIES = 12
+# N * max d bounds every tour length; below sqrt(float max) ~ 1.3e154 the
+# squared spread of a sample's lengths stays finite too
+MAX_TOUR_LENGTH = 1e150
 _BRUTE_FORCE_CHUNK = 200_000
 
 
@@ -54,6 +57,9 @@ class Instance:
             raise InvalidInstanceError("distance matrix must have a zero diagonal")
         if np.any(dist < 0.0):
             raise InvalidInstanceError("distances must be non-negative")
+        if dist.max() > MAX_TOUR_LENGTH / n:
+            raise InvalidInstanceError(f"N * max distance must be at most {MAX_TOUR_LENGTH:g}, "
+                                       f"got {n} * {dist.max():g}")
         object.__setattr__(self, "dist", dist)
         if self.coords is not None:
             coords = np.asarray(self.coords, dtype=float)
@@ -100,8 +106,13 @@ def are_permutations(orders: np.ndarray) -> np.ndarray:
 
 
 def is_permutation(order: TourLike, n_cities: int) -> bool:
+    """Whether order is a permutation of 1..n_cities, its labels checked as
+    given: 2.0 is the label 2, and 1.5 is no label."""
     order = np.asarray(order)
-    return order.shape == (n_cities,) and bool(are_permutations(order[None])[0])
+    if order.shape != (n_cities,) or not np.all((order >= 1) & (order <= n_cities)):
+        return False
+    labels = order.astype(np.int64)  # in range, so the cast cannot overflow
+    return bool(np.array_equal(labels, order) and are_permutations(labels[None])[0])
 
 
 def spin_columns(orders: np.ndarray) -> np.ndarray:
@@ -121,7 +132,7 @@ def spin_columns(orders: np.ndarray) -> np.ndarray:
 
 def tour_length(instance: Instance, order: TourLike) -> float:
     """Cyclic tour length, closing leg included."""
-    order = np.asarray(order, dtype=np.int64)
+    order = np.asarray(order)
     if not is_permutation(order, instance.n_cities):
         raise InvalidTourError(f"not a permutation of 1..{instance.n_cities}: {order.tolist()}")
     return float(tour_lengths(instance, order[None])[0])

@@ -92,16 +92,23 @@ class StepStats:
     acceptance_rate: float
     best_energy: float
     best_tour: np.ndarray
+    acceptance_min: float  # the lowest and highest acceptance rate of one chain in the pass
+    acceptance_max: float
 
 
 @dataclass(frozen=True)
 class RunRecord:
+    """A finished run: its steps, and why and when it stopped. Its best
+    energy and tour are the last step's (inf and None if no step finished),
+    and so is its time to target, set only if the run converged."""
+
     steps: list[StepStats]
     termination_reason: str
     total_time_s: float
-    best_energy: float
-    best_tour: np.ndarray | None  # None if no step finished
-    time_to_target_s: float | None
+
+    best_energy = property(lambda self: self.steps[-1].best_energy if self.steps else math.inf)
+    best_tour = property(lambda self: self.steps[-1].best_tour if self.steps else None)
+    time_to_target_s = property(lambda self: self.steps[-1].wall_clock_s if self.converged else None)
 
     @property
     def converged(self) -> bool:
@@ -289,7 +296,6 @@ def train(
     best = math.inf
     best_tour: np.ndarray | None = None
     last_improve_step = 0
-    time_to_target: float | None = None
     reason = "max-steps"
     error: str | None = None  # what escaped the loop, if anything did
     t0 = time.perf_counter()
@@ -314,14 +320,13 @@ def train(
                 acceptance_rate=sample.acceptance_rate,
                 best_energy=best,
                 best_tour=best_tour,
+                acceptance_min=float(sample.chain_acceptance.min()),
+                acceptance_max=float(sample.chain_acceptance.max()),
             )
             steps.append(stats)
-            emit({"type": "step", **vars(stats), "best_tour": best_tour.tolist(),
-                  "acceptance_min": float(sample.chain_acceptance.min()),
-                  "acceptance_max": float(sample.chain_acceptance.max())})
+            emit({"type": "step", **vars(stats), "best_tour": stats.best_tour.tolist()})
 
             if target_energy is not None and best <= target_energy + TARGET_TOL:
-                time_to_target = wall
                 reason = "target-reached"
                 break
             if step - last_improve_step >= cfg.prune_no_improve_steps:
@@ -338,7 +343,6 @@ def train(
         reason, error = "error", f"{type(exc).__name__}: {exc}"
         raise
     finally:  # every run that wrote a header ends with a footer, whatever stopped it
-        record = RunRecord(steps, reason, time.perf_counter() - t0, best, best_tour,
-                           time_to_target)
+        record = RunRecord(steps, reason, time.perf_counter() - t0)
         emit(record.footer(error))
     return record

@@ -1,6 +1,7 @@
 """Shared test utilities: random instances, random tours, small oracles."""
 
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,25 @@ def random_symmetric_instance(n: int, seed: int, scale: float = 1.0) -> Instance
     d = (d + d.T) / 2.0
     np.fill_diagonal(d, 0.0)
     return Instance(dist=d)
+
+
+def _six_near_1e200() -> np.ndarray:
+    d = np.triu(np.random.default_rng(0).uniform(0.5e200, 1e200, size=(6, 6)), 1)
+    return d + d.T
+
+
+# distance matrices whose tour lengths, or the squared spread of a sample of
+# them, overflow a float; Instance refuses both
+OVERFLOWING_DISTANCES = {
+    "five-at-1e308": 1e308 * (1.0 - np.eye(5)),
+    "six-near-1e200": _six_near_1e200(),
+}
+
+
+def write_instance_file(path, dist: np.ndarray):
+    """An instance file of these distances, written without Instance's checks."""
+    path.write_text(json.dumps({"n_cities": len(dist), "coords": None, "dist": dist.tolist()}))
+    return path
 
 
 def random_tour(n: int, rng: np.random.Generator) -> np.ndarray:

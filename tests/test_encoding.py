@@ -75,6 +75,16 @@ def test_is_permutation():
     assert not is_permutation([1, 3, 2, 4], 5)
     assert not is_permutation([0, 2, 1, 3], 4)
     assert not is_permutation([[1, 2, 3, 4]], 4)
+    assert is_permutation([1.0, 3.0, 2.0, 4.0], 4)  # integral floats are labels
+    assert not is_permutation([1.5, 3, 2, 4], 4)
+    assert not is_permutation([1.0, 3.0, 2.0, np.nan], 4)
+    assert not is_permutation([1.0, 3.0, 2.0, 1e300], 4)
+    # the callers check the labels as given, before any cast
+    with pytest.raises(InvalidTourError):
+        tour_length(linear_instance(3), [1.5, 2, 3])
+    with pytest.raises(InvalidTourError):
+        tour_to_onehot([1.2, 2, 3])
+    assert qudit_diagonal_energy(linear_instance(3), [1.9, 2, 3], PEN) == PEN.p
 
 
 class TestQuditDiagonal:

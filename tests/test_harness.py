@@ -7,7 +7,7 @@ from dataclasses import asdict, fields, replace
 import numpy as np
 import pytest
 
-from helpers import random_symmetric_instance
+from helpers import OVERFLOWING_DISTANCES, random_symmetric_instance, write_instance_file
 from qtsp.cli import cli
 from qtsp.errors import InvalidTourError
 from qtsp.harness import (
@@ -683,6 +683,23 @@ class TestCli:
         assert cli(["sweep", "--instance", str(path), "--rep", "qudit", "--trials", "2",
                     "--steps", "5", "--out", str(out)]) == 2
         assert "cannot derive a target" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", OVERFLOWING_DISTANCES)
+    @pytest.mark.parametrize("command", [
+        ["solve", "--rep", "qudit", "--steps", "3"],
+        ["exact"],
+        ["sweep", "--rep", "qudit", "--trials", "2", "--steps", "3"],
+    ], ids=["solve", "exact", "sweep"])
+    def test_an_instance_whose_tour_lengths_overflow_exits_2(self, tmp_path, capsys, name,
+                                                             command):
+        """Refused at load, so no command reaches a run with no best tour, a
+        spread that is not JSON, or brute force with no finite length."""
+        path = write_instance_file(tmp_path / "big.json", OVERFLOWING_DISTANCES[name])
+        out = tmp_path / "out"
+        flags = [] if command == ["exact"] else ["--out", str(out)]
+        assert cli([*command, "--instance", str(path), *flags]) == 2
+        assert "N * max distance must be at most 1e+150" in capsys.readouterr().err
         assert not out.exists()
 
     def test_seed_env_fallback(self, tmp_path, monkeypatch):

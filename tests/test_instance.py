@@ -2,9 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import exhaustive_optimum, random_symmetric_instance, random_tour
+from helpers import (
+    OVERFLOWING_DISTANCES,
+    exhaustive_optimum,
+    random_symmetric_instance,
+    random_tour,
+    write_instance_file,
+)
 from qtsp.errors import InvalidInstanceError, InvalidTourError, SizeLimitError
 from qtsp.instance import (
+    MAX_TOUR_LENGTH,
     Instance,
     are_permutations,
     brute_force_optimum,
@@ -63,6 +70,18 @@ class TestInstanceValidation:
         d = np.array([[0.0, np.nan], [np.nan, 0.0]])
         with pytest.raises(InvalidInstanceError, match="finite"):
             Instance(dist=d)
+
+    @pytest.mark.parametrize("name", OVERFLOWING_DISTANCES)
+    def test_rejects_tour_lengths_that_overflow(self, tmp_path, name):
+        dist = OVERFLOWING_DISTANCES[name]
+        with pytest.raises(InvalidInstanceError, match=r"at most 1e\+150"):
+            Instance(dist=dist)
+        with pytest.raises(InvalidInstanceError, match="big.json"):
+            load_instance(write_instance_file(tmp_path / "big.json", dist))
+
+    def test_accepts_tour_lengths_at_the_bound(self):
+        inst = Instance(dist=MAX_TOUR_LENGTH / 4 * (1.0 - np.eye(4)))
+        assert tour_length(inst, [1, 2, 3, 4]) == pytest.approx(MAX_TOUR_LENGTH)
 
 
 def test_planted_optimum():

@@ -28,6 +28,7 @@ from qtsp.instance import (
 from qtsp.sampler import SamplerConfig, init_chains, run_chains
 from qtsp.vmc import (
     AdamState,
+    RunRecord,
     VmcConfig,
     adam_update,
     build_ansatz,
@@ -350,6 +351,32 @@ class TestTrain:
         footer = silent.footer()
         assert list(footer) == list(lines[-1])
         assert {**footer, "total_time_s": None} == {**lines[-1], "total_time_s": None}
+        # each step line is its StepStats, field for field, in field order
+        expected = [{"type": "step", **vars(s), "best_tour": s.best_tour.tolist()}
+                    for s in streamed.steps]
+        step_lines = [line for line in lines if line["type"] == "step"]
+        assert step_lines == expected
+        assert [list(line) for line in step_lines] == [list(line) for line in expected]
+
+    @pytest.mark.parametrize("target, reason", [(8.0, "target-reached"), (None, "max-steps")])
+    def test_record_reads_its_end_off_its_last_step(self, target, reason):
+        cfg = replace(midpoint_vmc_config(5, "qudit", seed=1, max_steps=20),
+                      prune_no_improve_steps=1000)
+        record = train(linear_instance(5), cfg, target_energy=target)
+        last = record.steps[-1]
+        assert record.termination_reason == reason
+        assert record.best_energy == last.best_energy
+        assert record.best_tour is last.best_tour
+        assert record.time_to_target_s == (last.wall_clock_s if target is not None else None)
+
+    def test_record_with_no_step_has_a_null_end(self):
+        record = RunRecord([], "error", 0.0)
+        assert (record.best_energy, record.best_tour, record.time_to_target_s) == (
+            math.inf, None, None)
+        footer = record.footer()
+        assert (footer["best_energy"], footer["best_tour"], footer["time_to_target_s"]) == (
+            None, None, None)
+        assert (footer["reason"], footer["n_steps"]) == ("error", 0)
 
     def test_qubit_representation_trains(self):
         inst = linear_instance(4)
