@@ -21,9 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidTourError, SizeLimitError
+from .errors import SizeLimitError
 from .instance import (
-    Instance, TourLike, are_permutations, is_permutation, spin_columns, tour_lengths,
+    Instance, TourLike, are_permutations, is_permutation, read_labels, read_tours, spin_columns,
+    tour_length, tour_lengths,
 )
 
 DENSE_MAX_CITIES = 5
@@ -56,13 +57,8 @@ def default_penalties(instance: Instance) -> PenaltyConfig:
 
 def tour_to_onehot(order: TourLike) -> np.ndarray:
     """Permutation matrix z with z[i-1, a-1] = 1 iff tour slot a holds city i."""
-    order = np.asarray(order)
-    n = order.shape[0]
-    if not is_permutation(order, n):
-        raise InvalidTourError(f"cannot one-hot encode a non-permutation: {order.tolist()}")
-    z = np.zeros((n, n), dtype=np.int64)
-    z[order.astype(np.int64) - 1, np.arange(n)] = 1
-    return z
+    (order,) = read_tours([order])
+    return (order == np.arange(1, order.shape[0] + 1)[:, None]).astype(np.int64)
 
 
 def tours_to_sigma(orders: np.ndarray) -> np.ndarray:
@@ -104,10 +100,7 @@ def qubo_objective(instance: Instance, z: np.ndarray) -> float:
 def qudit_diagonal_energy(instance: Instance, config: TourLike, pen: PenaltyConfig) -> float:
     """Diagonal element of the globally-penalized Hamiltonian: the cyclic
     tour length on valid configurations, the flat penalty p otherwise."""
-    config = np.asarray(config)
-    if not is_permutation(config, instance.n_cities):
-        return pen.p
-    return float(tour_lengths(instance, config[None])[0])
+    return tour_length(instance, config) if is_permutation(config, instance.n_cities) else pen.p
 
 
 def twobody_element(
@@ -132,11 +125,8 @@ def ring_hamiltonian_element(
     other sites, so elements vanish whenever the configurations differ on
     three or more sites (and on two sites unless both sit on one bond).
     """
-    a = np.asarray(config_a, dtype=np.int64)
-    b = np.asarray(config_b, dtype=np.int64)
     n = instance.n_cities
-    if a.shape != (n,) or b.shape != (n,):
-        raise ValueError(f"configurations must have length {n}")
+    a, b = (read_labels([config], n)[0] for config in (config_a, config_b))
     total = 0.0
     for k in range(n):
         k1 = (k + 1) % n

@@ -9,8 +9,9 @@ class InvalidInstanceError(QtspError):
     """Distance matrix or city count violates the instance invariants."""
 
 
-class InvalidTourError(QtspError):
-    """A tour argument is not a permutation of 1..N."""
+class InvalidTourError(QtspError, ValueError):
+    """A batch of tour labels has the wrong shape, a label that is no integer
+    in 1..N, or, where tours are asked for, a row that is no permutation."""
 
 
 class SizeLimitError(QtspError):

@@ -151,6 +151,8 @@ class TrialResult:
 
 @dataclass(frozen=True)
 class SweepSummary:
+    """A sweep's trials, the share that converged and their median time to target."""
+
     n_cities: int
     representation: str
     n_trials: int

@@ -1,8 +1,8 @@
 """TSP instances, tour arithmetic and exact brute-force oracles.
 
-Tour arithmetic is owned here: cyclic lengths (`tour_lengths`), the
-permutation test (`are_permutations`) and the (city, slot) label map of
-the one-hot spins (`spin_columns`).
+Tour arithmetic is owned here: the label reader (`read_labels`), cyclic
+lengths (`tour_lengths`), the permutation test (`are_permutations`) and
+the (city, slot) label map of the one-hot spins (`spin_columns`).
 
 Cities are labelled 1..N throughout the public API; a tour is a length-N
 permutation of those labels and is always understood cyclically (the leg
@@ -90,52 +90,73 @@ def planted_optimum(n_cities: int) -> float:
     return 2.0 * (n_cities - 1)
 
 
-def are_permutations(orders: np.ndarray) -> np.ndarray:
-    """Which rows of a (B, N) batch of integer labels are permutations of
-    1..N, as a (B,) bool array.
+def _is_label(orders: np.ndarray) -> np.ndarray:
+    """Which entries of a (B, N) array are labels 1..N, taken as given: 2.0
+    is the label 2, while 1.5, NaN, inf and non-numbers are none. Compares
+    only, so nothing is cast and nothing warns."""
+    if orders.dtype.kind not in "iuf":
+        return np.zeros(orders.shape, dtype=bool)
+    is_label = (orders >= 1) & (orders <= orders.shape[1])  # NaN fails both
+    return is_label & (orders == np.floor(orders)) if orders.dtype.kind == "f" else is_label
 
-    Counts each row's labels, those outside 1..N clipped into the bins 0
-    and N + 1: N labels cover the N values 1..N only if each occurs once.
-    One bincount over the batch, O(B·N), with no sort."""
+
+def read_labels(orders: np.ndarray, n_cities: int | None = None) -> np.ndarray:
+    """The int64 (B, N) batch of labels 1..N that orders holds, N = n_cities
+    if given, else its width: the one reader of labels where they enter.
+    Checks the shape, then every label as given, before any cast; raises
+    InvalidTourError naming the first that fails. Repeats are labels."""
+    orders = np.asarray(orders)
+    if orders.ndim != 2 or n_cities not in (None, orders.shape[1]):
+        raise InvalidTourError(f"expected a (B, {n_cities or 'N'}) batch of tours, "
+                               f"got shape {orders.shape}")
+    is_label = _is_label(orders)
+    if not is_label.all():
+        raise InvalidTourError(f"tour label {orders.flat[np.argmin(is_label)]} "
+                               f"outside 1..{orders.shape[1]}")
+    return orders.astype(np.int64, copy=False)
+
+
+def are_permutations(orders: np.ndarray) -> np.ndarray:
+    """Which rows of a (B, N) batch are permutations of 1..N, as a (B,) bool
+    array: the one tour test. A row holding anything but labels, such as
+    1.5, is none. Counts each row's labels in one bincount, with what is no
+    label in the bin 0: N entries cover 1..N only if each occurs once."""
     orders = np.asarray(orders)
     b, n = orders.shape
-    bins = np.clip(orders, 0, n + 1, dtype=np.int64)
-    bins += np.arange(0, b * (n + 2), n + 2)[:, None]  # row r counts from bin r·(N + 2)
-    counts = np.bincount(bins.ravel(), minlength=b * (n + 2)).reshape(b, n + 2)
-    return counts[:, 1:-1].all(axis=1)
+    bins = np.where(_is_label(orders), orders, 0).astype(np.int64, copy=False)
+    bins += np.arange(0, b * (n + 1), n + 1)[:, None]  # row r counts from bin r·(N + 1)
+    counts = np.bincount(bins.ravel(), minlength=b * (n + 1)).reshape(b, n + 1)
+    return counts[:, 1:].all(axis=1)
+
+
+def read_tours(orders: np.ndarray, n_cities: int | None = None) -> np.ndarray:
+    """read_labels of a batch whose every row is a tour, else InvalidTourError."""
+    orders = read_labels(orders, n_cities)
+    is_tour = are_permutations(orders)
+    if not is_tour.all():
+        raise InvalidTourError(f"not a permutation of 1..{orders.shape[1]}: "
+                               f"{orders[np.argmin(is_tour)].tolist()}")
+    return orders
 
 
 def is_permutation(order: TourLike, n_cities: int) -> bool:
-    """Whether order is a permutation of 1..n_cities, its labels checked as
-    given: 2.0 is the label 2, and 1.5 is no label."""
+    """Whether order is one tour of 1..n_cities, its labels taken as given."""
     order = np.asarray(order)
-    if order.shape != (n_cities,) or not np.all((order >= 1) & (order <= n_cities)):
-        return False
-    labels = order.astype(np.int64)  # in range, so the cast cannot overflow
-    return bool(np.array_equal(labels, order) and are_permutations(labels[None])[0])
+    return order.shape == (n_cities,) and bool(are_permutations(order[None])[0])
 
 
 def spin_columns(orders: np.ndarray) -> np.ndarray:
-    """The (B, N) indices of the up spins of a (B, N) batch of tours in the
-    row-major (city, slot) spin layout: (city - 1) * N + slot. Raises
-    ValueError naming a label outside 1..N."""
-    orders = np.asarray(orders, dtype=np.int64)
-    if orders.ndim != 2:
-        raise ValueError(f"expected a (B, N) batch of tours, got shape {orders.shape}")
-    n = orders.shape[1]
-    if orders.size:
-        lo, hi = orders.min(), orders.max()
-        if lo < 1 or hi > n:
-            raise ValueError(f"tour label {lo if lo < 1 else hi} outside 1..{n}")
-    return (orders - 1) * n + np.arange(n)
+    """The (B, N) indices of the up spins of a (B, N) label batch in the
+    row-major (city, slot) spin layout, (city - 1) * N + slot, once
+    read_labels has read it."""
+    labels = read_labels(orders)
+    n = labels.shape[1]
+    return (labels - 1) * n + np.arange(n)
 
 
 def tour_length(instance: Instance, order: TourLike) -> float:
     """Cyclic tour length, closing leg included."""
-    order = np.asarray(order)
-    if not is_permutation(order, instance.n_cities):
-        raise InvalidTourError(f"not a permutation of 1..{instance.n_cities}: {order.tolist()}")
-    return float(tour_lengths(instance, order[None])[0])
+    return float(tour_lengths(instance, read_tours([order], instance.n_cities))[0])
 
 
 def tour_lengths(instance: Instance, orders: np.ndarray) -> np.ndarray:

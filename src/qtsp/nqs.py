@@ -24,7 +24,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .instance import spin_columns
+from .errors import InvalidTourError
+from .instance import read_labels
 
 
 # ---------------------------------------------------------------------------
@@ -240,37 +241,44 @@ def _rbm_columns(params: RbmParams) -> tuple[np.ndarray, np.ndarray, complex]:
     """The spin network on tours. A tour's spins sigma = 2z - 1 have N of
     their N^2 entries up, so W sigma + b = 2 (the sum of the N up columns of
     W) + b - W 1, and a . sigma = 2 (the sum of the N up entries of a) - sum a.
-    Holds W's columns as the rows of a contiguous (n_visible, n_hidden)
-    array, b - W 1 and sum a. Cached for the latest parameter object only,
-    as train makes a new one at every step; its arrays are read-only."""
-    columns = np.ascontiguousarray(params.w.T)
+    Holds W's columns as a contiguous (N, N, n_hidden) array indexed by
+    (city - 1, slot), the row-major spin layout of instance.spin_columns,
+    b - W 1 and sum a. Cached for the latest parameter object only, as
+    train makes a new one at every step; its arrays are read-only."""
+    n = math.isqrt(params.n_visible)
+    columns = np.ascontiguousarray(params.w.T).reshape(n, n, params.n_hidden)
     offset = params.b - params.w.sum(axis=1)
     for array in (columns, offset):
         array.setflags(write=False)
     return columns, offset, complex(params.a.sum())
 
 
-def _tour_columns(params: RbmParams, tours: np.ndarray) -> np.ndarray:
-    """The (B, N) up-spin columns of a tour batch (instance.spin_columns),
-    once its N^2 spins are checked against the network's visible units."""
+def _check_width(params: RbmParams, tours: np.ndarray) -> None:
+    """Raise InvalidTourError unless tours is a (B, N) batch of the network's N^2 spins."""
     shape = np.shape(tours)
     if len(shape) != 2 or shape[1] ** 2 != params.n_visible:
-        raise ValueError(f"expected (B, {params.n_visible}) spin batch as "
-                         f"(B, {math.isqrt(params.n_visible)}) tours, got {shape}")
-    return spin_columns(tours)
+        raise InvalidTourError(f"expected (B, {params.n_visible}) spin batch as "
+                               f"(B, {math.isqrt(params.n_visible)}) tours, got {shape}")
 
 
 def rbm_tour_log_psi(params: RbmParams, tours: np.ndarray) -> np.ndarray:
     """log psi of a (B, N) batch of tours: rbm_log_psi of their one-hot
     spins (encoding.tours_to_sigma), from the N up columns of each tour.
     The (B, N, n_hidden) gather is small at the sampler's batch size."""
-    idx = _tour_columns(params, tours)
+    _check_width(params, tours)
+    return rbm_tour_log_psi_unchecked(params, read_labels(tours))
+
+
+def rbm_tour_log_psi_unchecked(params: RbmParams, tours: np.ndarray) -> np.ndarray:
+    """rbm_tour_log_psi with no check, for a batch read before or a gather
+    of one, such as the sampler's swap proposals."""
+    cities, slots = tours - 1, np.arange(tours.shape[1])
     columns, offset, a_sum = _rbm_columns(params)
-    theta = columns[idx].sum(axis=1)
+    theta = columns[cities, slots].sum(axis=1)
     theta *= 2.0
     theta += offset
     value = log_2cosh(theta, out=theta).sum(axis=1)
-    value += 2.0 * params.a[idx].sum(axis=1) - a_sum
+    value += 2.0 * params.a.reshape(columns.shape[:2])[cities, slots].sum(axis=1) - a_sum
     return value
 
 
@@ -289,14 +297,15 @@ def rbm_tour_energy_gradient(params: RbmParams, tours: np.ndarray,
     N contiguous entries of the a and W blocks, written straight into the
     flat result.
     """
-    idx = _tour_columns(params, tours)
-    batch, n = idx.shape
+    _check_width(params, tours)
+    cities = read_labels(tours) - 1
+    batch, n = cities.shape
     c = _centred_weights(energies, batch)
     c *= 2.0
     columns, offset, _ = _rbm_columns(params)
-    theta = columns[idx[:, 0]]                                  # one slot at a time: no (B, N, H) gather
+    theta = columns[cities[:, 0], 0]                            # one slot at a time: no (B, N, H) gather
     for s in range(1, n):
-        theta += columns[idx[:, s]]
+        theta += columns[cities[:, s], s]
     theta *= 2.0
     theta += offset
     np.conj(np.tanh(theta, out=theta), out=theta)               # conj t, in theta's buffer
@@ -309,7 +318,6 @@ def rbm_tour_energy_gradient(params: RbmParams, tours: np.ndarray,
     g_b.imag = c @ theta.imag
     t = theta.view(np.float64)                                  # (B, 2H), Re and Im side by side
     t *= c[:, None]                                             # c conj t
-    cities = idx // n
     for j in range(n):
         up = (cities == j) * 2.0                                # city j's row of sigma + 1
         g_a.real[j * n:(j + 1) * n] = c @ up

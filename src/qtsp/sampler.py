@@ -20,6 +20,8 @@ _BLOCK_STEPS = 64  # steps of uniforms a chain draws at a time (see _advance)
 
 @dataclass(frozen=True)
 class SamplerConfig:
+    """The chains, their swap proposals, the recorded sample size and the seed."""
+
     n_chains: int
     n_swaps: int
     max_swap_len: int
@@ -61,7 +63,7 @@ class Chains:
     rng = property(lambda self: self.rngs[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sample:
     """Recorded configurations of one sampling pass, merged by chain index."""
 

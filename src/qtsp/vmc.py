@@ -18,8 +18,7 @@ from typing import Callable
 import numpy as np
 
 from . import nqs
-from .errors import InvalidTourError
-from .instance import Instance, are_permutations, tour_lengths
+from .instance import Instance, read_tours, tour_lengths
 from .sampler import SamplerConfig, init_chains, run_chains
 
 IMPROVEMENT_TOL = 1e-12
@@ -39,6 +38,8 @@ _INIT_SPAWN_KEY = 1 << 20
 
 @dataclass(frozen=True)
 class VmcConfig:
+    """One run's representation, network shape, sampler, Adam rate and stop budgets."""
+
     representation: str          # "qubit" | "qudit"
     sampler: SamplerConfig
     n_hidden: int = 0            # spin network
@@ -72,8 +73,10 @@ class VmcConfig:
                              f"got {self.prune_wall_clock_s}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdamState:
+    """Adam's two moment vectors over the flat parameters and its step count."""
+
     first_moment: np.ndarray
     second_moment: np.ndarray
     step_count: int = 0
@@ -83,8 +86,10 @@ class AdamState:
         return cls(first_moment=np.zeros(n), second_moment=np.zeros(n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepStats:
+    """One step's line of the run stream: its sample's energies, acceptance and best."""
+
     step: int
     wall_clock_s: float
     energy_mean: float
@@ -96,7 +101,7 @@ class StepStats:
     acceptance_max: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunRecord:
     """A finished run: its steps, and why and when it stopped. Its best
     energy and tour are the last step's (inf and None if no step finished),
@@ -172,7 +177,8 @@ def build_ansatz(cfg: VmcConfig, n_cities: int) -> Ansatz:
         params = nqs.init_params("cnn", (cfg.kernel_size, cfg.n_channels), INIT_SCALE, seed)
         return Ansatz(params, nqs.cnn_log_psi, nqs.cnn_energy_gradient)
     params = nqs.init_params("rbm", (n_cities * n_cities, cfg.n_hidden), INIT_SCALE, seed)
-    return Ansatz(params, nqs.rbm_tour_log_psi, nqs.rbm_tour_energy_gradient)
+    # the sampler evaluates swaps of init_chains' tours, so it reads no labels
+    return Ansatz(params, nqs.rbm_tour_log_psi_unchecked, nqs.rbm_tour_energy_gradient)
 
 
 # ---------------------------------------------------------------------------
@@ -184,13 +190,10 @@ def local_energies(instance: Instance, configs: np.ndarray) -> np.ndarray:
     cyclic lengths.
 
     Identical in both representations because the constraint terms vanish
-    on the valid manifold; a non-permutation row means the sampler leaked
-    an invalid state and is reported as an error.
+    on the valid manifold; a row that is no tour means the sampler leaked
+    an invalid state and raises InvalidTourError (instance.read_tours).
     """
-    configs = np.asarray(configs, dtype=np.int64)
-    if configs.shape[1:] != (instance.n_cities,) or not are_permutations(configs).all():
-        raise InvalidTourError("invalid configuration reached the energy estimator")
-    return tour_lengths(instance, configs)
+    return tour_lengths(instance, read_tours(configs, instance.n_cities))
 
 
 def estimate_gradient(

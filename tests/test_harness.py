@@ -446,6 +446,21 @@ class TestCli:
         from_cli = [without_clocks(json.loads(line)) for line in out.read_text().splitlines()]
         assert from_cli == [without_clocks(json.loads(json.dumps(line))) for line in lines]
 
+    @pytest.mark.parametrize("rep,cities,steps,seed", [("qudit", 10, 30, 3), ("qubit", 6, 15, 2)])
+    def test_same_seed_gives_the_same_run_stream(self, tmp_path, rep, cities, steps, seed):
+        """Every line of two same-seed runs, header and footer included, is
+        equal once the clock fields are dropped."""
+        clocks = ("wall_clock_s", "total_time_s", "time_to_target_s")
+        streams = []
+        for run in ("a", "b"):
+            out = tmp_path / f"{run}.jsonl"
+            assert cli(["solve", "--rep", rep, "--cities", str(cities), "--steps", str(steps),
+                        "--seed", str(seed), "--out", str(out)]) == 0
+            lines = [json.loads(line) for line in out.read_text().splitlines()]
+            streams.append([{k: v for k, v in line.items() if k not in clocks} for line in lines])
+        assert len(streams[0]) == steps + 2
+        assert streams[0] == streams[1]
+
     def test_solve_flag_overrides_land_in_config(self, tmp_path):
         """Every setting flag reaches the config field it names: the qudit
         run takes the convolutional network's flags, the qubit run --hidden."""

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from helpers import (
     OVERFLOWING_DISTANCES,
@@ -9,7 +9,11 @@ from helpers import (
     random_tour,
     write_instance_file,
 )
-from qtsp.errors import InvalidInstanceError, InvalidTourError, SizeLimitError
+from qtsp import nqs
+from qtsp.encoding import (
+    PenaltyConfig, qudit_diagonal_energy, ring_hamiltonian_element, tour_to_onehot, tours_to_sigma,
+)
+from qtsp.errors import InvalidInstanceError, InvalidTourError, QtspError, SizeLimitError
 from qtsp.instance import (
     MAX_TOUR_LENGTH,
     Instance,
@@ -17,13 +21,16 @@ from qtsp.instance import (
     brute_force_optimum,
     farthest_city_tour,
     instance_json,
+    is_permutation,
     linear_instance,
     load_instance,
     planted_optimum,
+    read_labels,
     spin_columns,
     tour_length,
     tour_lengths,
 )
+from qtsp.vmc import local_energies
 
 
 class TestLinearInstance:
@@ -132,13 +139,19 @@ class TestTourLength:
 
 @st.composite
 def label_batches(draw):
-    """(B, N) integer batches mixing permutations of 1..N with rows drawn
-    from -2..N+2: zeros, N + 1, negatives and repeats."""
+    """(B, N) batches mixing permutations of 1..N with rows drawn from
+    -2..N+2: zeros, N + 1, negatives and repeats. Half are int64; the other
+    half are floats, some of whose entries are then no label: 1.5, NaN, inf."""
     n = draw(st.integers(1, 8))
     perm = st.permutations(range(1, n + 1))
     any_row = st.lists(st.integers(-2, n + 2), min_size=n, max_size=n)
     rows = draw(st.lists(st.one_of(perm, any_row), max_size=6))
-    return np.array(rows, dtype=np.int64).reshape(len(rows), n)
+    batch = np.array(rows, dtype=np.int64).reshape(len(rows), n)
+    if draw(st.booleans()):
+        batch = batch.astype(float)
+        for i in draw(st.lists(st.integers(0, batch.size - 1), max_size=2)) if batch.size else ():
+            batch.flat[i] = draw(st.sampled_from([1.5, n - 0.5, np.nan, np.inf, -np.inf]))
+    return batch
 
 
 class TestArePermutations:
@@ -155,6 +168,83 @@ class TestArePermutations:
         assert are_permutations(batch).tolist() == [True, False, False, False, False, True,
                                                     False, False, False]
         assert are_permutations(np.zeros((0, 4), dtype=np.int64)).shape == (0,)
+
+
+def _rows(entry):
+    """A single-tour entry point applied to each row of a batch."""
+    return lambda batch, n: [entry(row, n) for row in batch]
+
+
+_PEN = PenaltyConfig(p=1e3, p_prime=1e3)
+# name -> (what the entry point does with bad labels, how it is called on a (B, n) batch)
+LABEL_ENTRY_POINTS = {
+    "tour_length": ("tours", _rows(lambda row, n: tour_length(linear_instance(n), row))),
+    "local_energies": ("tours", lambda batch, n: local_energies(linear_instance(n), batch)),
+    "tour_to_onehot": ("tours", _rows(lambda row, n: tour_to_onehot(row))),
+    "spin_columns": ("labels", lambda batch, n: spin_columns(batch)),
+    "tours_to_sigma": ("labels", lambda batch, n: tours_to_sigma(batch)),
+    "ring_hamiltonian_element": ("labels", _rows(
+        lambda row, n: ring_hamiltonian_element(linear_instance(n), row, row, _PEN))),
+    "rbm_tour_log_psi": ("labels", lambda batch, n: nqs.rbm_tour_log_psi(
+        nqs.init_params("rbm", (n * n, 2), 0.1, 0), batch)),
+    "rbm_tour_energy_gradient": ("labels", lambda batch, n: nqs.rbm_tour_energy_gradient(
+        nqs.init_params("rbm", (n * n, 2), 0.1, 0), np.concatenate([batch, batch]),
+        np.arange(2.0 * len(batch)))),
+    "is_permutation": ("answers", _rows(is_permutation)),
+    "are_permutations": ("answers", lambda batch, n: are_permutations(batch).tolist()),
+    "qudit_diagonal_energy": ("answers", _rows(
+        lambda row, n: qudit_diagonal_energy(linear_instance(n), row, _PEN) != _PEN.p)),
+}
+
+
+class TestTheLabelRule:
+    """Every entry point takes labels as given: 2.0 is the label 2, and 1.5,
+    NaN, inf, a label outside 1..N or a batch of the wrong shape raise
+    InvalidTourError, with no warning (warnings fail the test run). Repeats
+    are refused only where tours are asked for; the tests answer instead."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(label_batches())
+    @pytest.mark.parametrize("name", LABEL_ENTRY_POINTS)
+    def test_bad_labels_raise_or_answer(self, name, batch):
+        rule, call = LABEL_ENTRY_POINTS[name]
+        n = batch.shape[1]
+        assume(n >= 2 and len(batch) >= 1)
+        labels = all(x in range(1, n + 1) for x in batch.ravel().tolist())
+        tours = [sorted(row.tolist()) == list(range(1, n + 1)) for row in batch]
+        if rule == "answers":
+            assert call(batch, n) == tours
+        elif labels and (rule == "labels" or all(tours)):
+            call(batch, n)
+        else:
+            with pytest.raises(InvalidTourError):
+                call(batch, n)
+
+    @pytest.mark.parametrize("name", [k for k, (rule, _) in LABEL_ENTRY_POINTS.items()
+                                      if rule != "answers"])
+    def test_a_batch_of_the_wrong_shape_raises(self, name):
+        _, call = LABEL_ENTRY_POINTS[name]
+        tours = np.array([[1, 2, 3], [3, 2, 1]])
+        with pytest.raises(InvalidTourError):
+            call(tours[None], 3)  # one axis too many: each row is a batch, not a tour
+        if name in ("tour_length", "local_energies", "ring_hamiltonian_element",
+                    "rbm_tour_log_psi", "rbm_tour_energy_gradient"):
+            with pytest.raises(InvalidTourError):
+                call(tours, 4)  # three labels where the instance or network has four cities
+
+    def test_the_tests_answer_false_on_a_wrong_shape(self):
+        assert not is_permutation([[1, 2, 3]], 3)
+        assert qudit_diagonal_energy(linear_instance(4), [1, 2, 3], _PEN) == _PEN.p
+
+    def test_a_bad_label_is_a_qtsp_error_and_a_value_error(self):
+        with pytest.raises(QtspError, match="tour label 1.5 outside 1..3"):
+            spin_columns([[1.5, 2, 3]])
+        assert issubclass(InvalidTourError, ValueError)
+
+    def test_integral_floats_are_their_labels(self):
+        assert read_labels([[1.0, 3.0, 2.0]]).tolist() == [[1, 3, 2]]
+        assert read_labels([[1.0, 3.0, 2.0]]).dtype == np.int64
+        assert local_energies(linear_instance(3), [[1.0, 3.0, 2.0]]).tolist() == [4.0]
 
 
 class TestSpinColumns:

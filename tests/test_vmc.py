@@ -525,3 +525,37 @@ class TestBuildAnsatz:
         cfg = replace(midpoint_vmc_config(4, "qudit", seed=0, max_steps=1), kernel_size=9)
         with pytest.raises(ValueError):
             build_ansatz(cfg, 4)
+
+    def test_the_sampler_reads_no_labels_on_the_qubit_path(self, monkeypatch):
+        """Proposals are swaps of init_chains' tours, so the spin network the
+        sampler calls is the unchecked form; the public entry still reads."""
+        cfg = midpoint_vmc_config(6, "qubit", seed=1, max_steps=1)
+        ansatz = build_ansatz(cfg, 6)
+        chains = init_chains(linear_instance(6), cfg.sampler)
+
+        def no_reading(*args):
+            raise AssertionError("the sampler read tour labels")
+
+        monkeypatch.setattr(nqs, "read_labels", no_reading)
+        sample = run_chains(chains, ansatz.log_psi_tours, cfg.sampler)
+        assert sample.configs.shape == (cfg.sampler.sample_size, 6)
+        with pytest.raises(AssertionError, match="read tour labels"):
+            nqs.rbm_tour_log_psi(ansatz.params, sample.configs)
+
+
+class TestArrayContainers:
+    """The containers that hold arrays compare by identity and hash, as
+    Instance, Chains and the parameter containers do: field-wise == would
+    ask an array for one truth value, and a record's clock fields differ
+    between two same-seed runs anyway."""
+
+    def test_compare_by_identity_and_hash(self):
+        cfg = midpoint_vmc_config(5, "qudit", seed=1, max_steps=2)
+        records = [train(linear_instance(5), cfg) for _ in range(2)]
+        samples = [run_chains(init_chains(linear_instance(5), cfg.sampler),
+                              build_ansatz(cfg, 5).log_psi_tours, cfg.sampler) for _ in range(2)]
+        pairs = [(AdamState.zeros(2), AdamState.zeros(2)), samples, records,
+                 (records[0].steps[0], records[1].steps[0])]
+        for a, b in pairs:
+            assert a == a and a != b
+            assert hash(a) == hash(a) and len({a, b}) == 2
