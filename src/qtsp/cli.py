@@ -25,7 +25,7 @@ from . import __version__, harness, instance as inst
 from .errors import QtspError
 from .instance import Instance, linear_instance, load_instance
 from .sampler import SamplerConfig
-from .vmc import VmcConfig, train
+from .vmc import NETWORKS, VmcConfig, train
 
 
 class _UsageError(Exception):
@@ -72,8 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="run one variational Monte Carlo optimization")
     _add_instance_flags(p_solve)
-    p_solve.add_argument("--rep", choices=("qubit", "qudit"), required=True)
-    p_solve.add_argument("--net", choices=("rbm", "cnn"),
+    p_solve.add_argument("--rep", choices=tuple(NETWORKS), required=True)
+    p_solve.add_argument("--net", choices=tuple(kind for kind, *_ in NETWORKS.values()),
                          help="ansatz (defaults to the representation's native one)")
     p_solve.add_argument("--seed", type=int, default=None,
                          help="master seed (default: QTSP_SEED env var, else 0)")
@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="random hyperparameter search with pruning")
     _add_instance_flags(p_sweep)
-    p_sweep.add_argument("--rep", choices=("qubit", "qudit"), required=True)
+    p_sweep.add_argument("--rep", choices=tuple(NETWORKS), required=True)
     p_sweep.add_argument("--trials", type=int, default=20)
     p_sweep.add_argument("--seed", type=int, default=None)
     p_sweep.add_argument("--steps", type=int, dest="max_steps", default=400,
@@ -177,13 +177,10 @@ def _given_settings(args) -> dict:
 
 
 def _solve_config(args, instance: Instance) -> VmcConfig:
-    n = instance.n_cities
-    rep = args.rep
-    net = args.net if args.net is not None else ("cnn" if rep == "qudit" else "rbm")
-    if (rep, net) not in (("qudit", "cnn"), ("qubit", "rbm")):
-        raise _UsageError(f"--net {net} does not match --rep {rep}")
-    hyper = {**harness.midpoint_hyperparams(n, rep), **_given_settings(args)}
-    return harness.make_vmc_config(rep, hyper, seed=_seed(args), fix_first=args.fix_first)
+    if args.net not in (None, NETWORKS[args.rep][0]):
+        raise _UsageError(f"--net {args.net} does not match --rep {args.rep}")
+    hyper = {**harness.midpoint_hyperparams(instance.n_cities, args.rep), **_given_settings(args)}
+    return harness.make_vmc_config(args.rep, hyper, seed=_seed(args), fix_first=args.fix_first)
 
 
 def _resolve_target(args, instance: Instance) -> float | None:

@@ -21,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SizeLimitError
+from .errors import InvalidTourError, SizeLimitError
 from .instance import (
-    Instance, TourLike, are_permutations, is_permutation, read_labels, read_tours, spin_columns,
-    tour_length, tour_lengths,
+    Instance, TourLike, are_labels, are_permutations, is_permutation, read_labels, read_tours,
+    spin_columns, tour_length, tour_lengths,
 )
 
 DENSE_MAX_CITIES = 5
@@ -108,9 +108,11 @@ def twobody_element(
 ) -> float:
     """<i,j| D |l,m> = d_ij * delta_il * delta_jm + p' * (2 - delta_il - delta_jm)."""
     n = instance.n_cities
-    for label in (i, j, l, m):
-        if not 1 <= label <= n:
-            raise ValueError(f"level {label} outside 1..{n}")
+    levels = np.array([i, j, l, m])
+    is_level = are_labels(levels, n)
+    if not is_level.all():
+        raise InvalidTourError(f"level {levels[np.argmin(is_level)]} outside 1..{n}")
+    i, j, l, m = levels.astype(np.int64)
     d_il = 1.0 if i == l else 0.0
     d_jm = 1.0 if j == m else 0.0
     return float(instance.dist[i - 1, j - 1]) * d_il * d_jm + pen.p_prime * (2.0 - d_il - d_jm)

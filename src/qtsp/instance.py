@@ -1,8 +1,9 @@
 """TSP instances, tour arithmetic and exact brute-force oracles.
 
-Tour arithmetic is owned here: the label reader (`read_labels`), cyclic
-lengths (`tour_lengths`), the permutation test (`are_permutations`) and
-the (city, slot) label map of the one-hot spins (`spin_columns`).
+Tour arithmetic is owned here: the label test and reader (`are_labels`,
+`read_labels`), cyclic lengths (`tour_lengths`), the permutation test
+(`are_permutations`) and the (city, slot) label map of the one-hot spins
+(`spin_columns`).
 
 Cities are labelled 1..N throughout the public API; a tour is a length-N
 permutation of those labels and is always understood cyclically (the leg
@@ -90,13 +91,13 @@ def planted_optimum(n_cities: int) -> float:
     return 2.0 * (n_cities - 1)
 
 
-def _is_label(orders: np.ndarray) -> np.ndarray:
-    """Which entries of a (B, N) array are labels 1..N, taken as given: 2.0
-    is the label 2, while 1.5, NaN, inf and non-numbers are none. Compares
+def are_labels(orders: np.ndarray, n: int) -> np.ndarray:
+    """Which entries of an array are labels 1..n, taken as given: 2.0 is
+    the label 2, while 1.5, NaN, inf and non-numbers are none. Compares
     only, so nothing is cast and nothing warns."""
     if orders.dtype.kind not in "iuf":
         return np.zeros(orders.shape, dtype=bool)
-    is_label = (orders >= 1) & (orders <= orders.shape[1])  # NaN fails both
+    is_label = (orders >= 1) & (orders <= n)  # NaN fails both
     return is_label & (orders == np.floor(orders)) if orders.dtype.kind == "f" else is_label
 
 
@@ -109,7 +110,7 @@ def read_labels(orders: np.ndarray, n_cities: int | None = None) -> np.ndarray:
     if orders.ndim != 2 or n_cities not in (None, orders.shape[1]):
         raise InvalidTourError(f"expected a (B, {n_cities or 'N'}) batch of tours, "
                                f"got shape {orders.shape}")
-    is_label = _is_label(orders)
+    is_label = are_labels(orders, orders.shape[1])
     if not is_label.all():
         raise InvalidTourError(f"tour label {orders.flat[np.argmin(is_label)]} "
                                f"outside 1..{orders.shape[1]}")
@@ -123,7 +124,7 @@ def are_permutations(orders: np.ndarray) -> np.ndarray:
     label in the bin 0: N entries cover 1..N only if each occurs once."""
     orders = np.asarray(orders)
     b, n = orders.shape
-    bins = np.where(_is_label(orders), orders, 0).astype(np.int64, copy=False)
+    bins = np.where(are_labels(orders, n), orders, 0).astype(np.int64, copy=False)
     bins += np.arange(0, b * (n + 1), n + 1)[:, None]  # row r counts from bin r·(N + 1)
     counts = np.bincount(bins.ravel(), minlength=b * (n + 1)).reshape(b, n + 1)
     return counts[:, 1:].all(axis=1)

@@ -286,7 +286,14 @@ def rbm_tour_energy_gradient(params: RbmParams, tours: np.ndarray,
                              energies: np.ndarray) -> np.ndarray:
     """Flat real covariance gradient 2 Re sum_b c_b conj(O_b), c = (E - mean E) / S,
     of a (B, N) tour batch, with no (B, 2P) log-derivative matrix and no
-    (B, N^2) spin batch.
+    (B, N^2) spin batch."""
+    _check_width(params, tours)
+    return rbm_tour_energy_gradient_unchecked(params, read_labels(tours), energies)
+
+
+def rbm_tour_energy_gradient_unchecked(params: RbmParams, tours: np.ndarray,
+                                       energies: np.ndarray) -> np.ndarray:
+    """rbm_tour_energy_gradient with no check, for a batch read before.
 
     With conj t = conj(tanh theta) the complex sums are c^T sigma for a,
     c^T conj t for b and (c * conj t)^T sigma for W; since the amplitude is
@@ -297,8 +304,7 @@ def rbm_tour_energy_gradient(params: RbmParams, tours: np.ndarray,
     N contiguous entries of the a and W blocks, written straight into the
     flat result.
     """
-    _check_width(params, tours)
-    cities = read_labels(tours) - 1
+    cities = tours - 1
     batch, n = cities.shape
     c = _centred_weights(energies, batch)
     c *= 2.0
@@ -363,20 +369,26 @@ def _cnn_unrolled(params: CnnParams, n: int) -> tuple[np.ndarray, np.ndarray, np
 
 
 def cnn_log_psi(params: CnnParams, config: np.ndarray) -> complex | np.ndarray:
-    """log psi for level sequences (single (N,) config or (B, N) batch).
+    """log psi of a single (N,) config or a (B, N) batch of levels 1..N, read first.
 
     Circular convolution over the raw integer levels, split-complex
     rectifier, sum over positions, dense output neuron. The real and
     imaginary channels stay 2F real columns until the dense layer.
     """
-    config = np.asarray(config, dtype=float)
+    config = np.asarray(config)
     single = config.ndim == 1
-    levels = config.reshape(-1, config.shape[-1])
+    value = cnn_log_psi_unchecked(params, read_labels(config[None] if single else config))
+    return complex(value[0]) if single else value
+
+
+def cnn_log_psi_unchecked(params: CnnParams, tours: np.ndarray) -> np.ndarray:
+    """cnn_log_psi of a (B, N) batch with no check, for a batch read before
+    or a gather of one, such as the sampler's swap proposals."""
+    levels = np.asarray(tours, dtype=float)
     conv, bias, dense = _cnn_unrolled(params, levels.shape[1])
     pre = levels @ conv
     pre += bias
-    value = np.maximum(pre, 0.0, out=pre) @ dense + params.dense_b
-    return complex(value[0]) if single else value
+    return np.maximum(pre, 0.0, out=pre) @ dense + params.dense_b
 
 
 def cnn_log_derivatives(params: CnnParams, configs: np.ndarray) -> np.ndarray:
@@ -385,9 +397,7 @@ def cnn_log_derivatives(params: CnnParams, configs: np.ndarray) -> np.ndarray:
     The rectifier is piecewise linear; the subgradient at the kink is 0
     (strict positivity masks).
     """
-    configs = np.asarray(configs, dtype=float)
-    if configs.ndim != 2:
-        raise ValueError(f"expected a (B, N) batch, got shape {configs.shape}")
+    configs = read_labels(configs).astype(float)
     batch, n = configs.shape
     windows = configs[:, _window_index(n, params.kernel_size)]  # (B, N, K)
     pre = windows @ params.w + params.b                         # (B, N, F)
@@ -408,7 +418,13 @@ def cnn_log_derivatives(params: CnnParams, configs: np.ndarray) -> np.ndarray:
 
 def cnn_energy_gradient(params: CnnParams, configs: np.ndarray, energies: np.ndarray) -> np.ndarray:
     """Flat real covariance gradient 2 Re sum_b c_b conj(O_b), c = (E - mean E) / S,
-    without the (B, 2P) log-derivative matrix.
+    of a (B, N) level batch, without the (B, 2P) log-derivative matrix."""
+    return cnn_energy_gradient_unchecked(params, read_labels(configs), energies)
+
+
+def cnn_energy_gradient_unchecked(params: CnnParams, configs: np.ndarray,
+                                  energies: np.ndarray) -> np.ndarray:
+    """cnn_energy_gradient with no check, for a batch read before.
 
     Goes position by position. The (B, K+1) window with a constant bias
     column meets [Re w | Im w] over [Re b | Im b] in one GEMM, into one
@@ -420,8 +436,6 @@ def cnn_energy_gradient(params: CnnParams, configs: np.ndarray, energies: np.nda
     ones. Besides the (B, N) float batch, the scratch is O(B (K + F)).
     """
     configs = np.asarray(configs, dtype=float)
-    if configs.ndim != 2:
-        raise ValueError(f"expected a (B, N) batch, got shape {configs.shape}")
     batch, n = configs.shape
     k, f = params.kernel_size, params.n_channels
     c = _centred_weights(energies, batch)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -28,8 +29,15 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 INIT_SCALE = 0.02
 
-# the shape fields of each representation's network; the other's stay 0
-_NETWORK_FIELDS = {"qubit": ("n_hidden",), "qudit": ("n_channels", "kernel_size")}
+# The network each representation runs: its qtsp.nqs kind, the VmcConfig fields
+# of its shape in init_params order (the other's stay 0), and the unchecked nqs
+# log psi and energy gradient that train calls, as local_energies reads each sample.
+NETWORKS = {
+    "qubit": ("rbm", ("n_hidden",), "rbm_tour_log_psi_unchecked",
+              "rbm_tour_energy_gradient_unchecked"),
+    "qudit": ("cnn", ("kernel_size", "n_channels"), "cnn_log_psi_unchecked",
+              "cnn_energy_gradient_unchecked"),
+}
 
 # spawn key reserved for the parameter-init stream; chain streams use the
 # plain spawn children (0,), (1,), ... of the sampler seed
@@ -51,9 +59,9 @@ class VmcConfig:
     prune_wall_clock_s: float = 600.0
 
     def __post_init__(self):
-        if self.representation not in _NETWORK_FIELDS:
+        if self.representation not in NETWORKS:
             raise ValueError(f"unknown representation {self.representation!r}")
-        for rep, names in _NETWORK_FIELDS.items():
+        for rep, (_, names, _, _) in NETWORKS.items():
             for name in names:
                 if rep == self.representation and getattr(self, name) < 1:
                     raise ValueError(f"{rep} representation needs {name} >= 1")
@@ -140,48 +148,6 @@ class RunRecord:
 
 
 # ---------------------------------------------------------------------------
-# the ansatz adapter: tours in, flat real parameters out
-# ---------------------------------------------------------------------------
-
-class Ansatz:
-    """A network on (B, N) tour batches: the convolutional network reads
-    the levels, the spin network the up columns of the one-hot spins."""
-
-    def __init__(self, params: nqs.NetworkParams, log_psi: Callable, energy_gradient: Callable):
-        self.params = params
-        self._log_psi = log_psi
-        self._energy_gradient = energy_gradient
-
-    def log_psi_tours(self, tours: np.ndarray) -> np.ndarray:
-        return np.asarray(self._log_psi(self.params, tours))
-
-    def energy_gradient(self, tours: np.ndarray, energies: np.ndarray) -> np.ndarray:
-        return self._energy_gradient(self.params, tours, energies)
-
-    def get_flat(self) -> np.ndarray:
-        return self.params.to_flat()
-
-    def set_flat(self, flat: np.ndarray) -> None:
-        self.params = type(self.params).from_flat(flat, *self.params.shape)
-
-
-def derive_init_seed(sampler_seed: int) -> int:
-    ss = np.random.SeedSequence(entropy=sampler_seed, spawn_key=(_INIT_SPAWN_KEY,))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
-def build_ansatz(cfg: VmcConfig, n_cities: int) -> Ansatz:
-    seed = derive_init_seed(cfg.sampler.seed)
-    if cfg.representation == "qudit":
-        nqs._window_index(n_cities, cfg.kernel_size)  # the kernel <= N check, before any output
-        params = nqs.init_params("cnn", (cfg.kernel_size, cfg.n_channels), INIT_SCALE, seed)
-        return Ansatz(params, nqs.cnn_log_psi, nqs.cnn_energy_gradient)
-    params = nqs.init_params("rbm", (n_cities * n_cities, cfg.n_hidden), INIT_SCALE, seed)
-    # the sampler evaluates swaps of init_chains' tours, so it reads no labels
-    return Ansatz(params, nqs.rbm_tour_log_psi_unchecked, nqs.rbm_tour_energy_gradient)
-
-
-# ---------------------------------------------------------------------------
 # estimators
 # ---------------------------------------------------------------------------
 
@@ -264,6 +230,21 @@ def adam_update(
 # training loop
 # ---------------------------------------------------------------------------
 
+def init_network(cfg: VmcConfig, n_cities: int) -> tuple[nqs.NetworkParams, Callable, Callable]:
+    """The representation's network: its starting parameters, drawn from the
+    init stream of the sampler seed, and the functions NETWORKS names in
+    qtsp.nqs at this call. Checks the kernel <= N before any output."""
+    kind, shape_fields, log_psi, energy_gradient = NETWORKS[cfg.representation]
+    shape = tuple(getattr(cfg, name) for name in shape_fields)
+    if kind == "cnn":
+        nqs._window_index(n_cities, cfg.kernel_size)
+    else:
+        shape = (n_cities * n_cities, *shape)  # one spin per (city, slot)
+    seed = np.random.SeedSequence(entropy=cfg.sampler.seed, spawn_key=(_INIT_SPAWN_KEY,))
+    params = nqs.init_params(kind, shape, INIT_SCALE, int(seed.generate_state(1, np.uint64)[0]))
+    return params, getattr(nqs, log_psi), getattr(nqs, energy_gradient)
+
+
 def train(
     instance: Instance,
     cfg: VmcConfig,
@@ -280,9 +261,9 @@ def train(
     """
     from . import __version__
 
-    ansatz = build_ansatz(cfg, instance.n_cities)
+    params, log_psi, energy_gradient = init_network(cfg, instance.n_cities)
     chains = init_chains(instance, cfg.sampler)
-    theta = ansatz.get_flat()
+    theta = params.to_flat()
     adam = AdamState.zeros(theta.shape[0])
     emit = sink if sink is not None else lambda line: None
 
@@ -305,7 +286,7 @@ def train(
 
     try:
         for step in range(1, cfg.max_steps + 1):
-            sample = run_chains(chains, ansatz.log_psi_tours, cfg.sampler)
+            sample = run_chains(chains, partial(log_psi, params), cfg.sampler)
             energies = local_energies(instance, sample.configs)
             i_min = int(np.argmin(energies))
             if energies[i_min] < best - IMPROVEMENT_TOL:
@@ -339,9 +320,9 @@ def train(
                 reason = "time-limit"
                 break
             if step < cfg.max_steps:  # the last step's gradient would go unused
-                grad = ansatz.energy_gradient(sample.configs, energies)
+                grad = energy_gradient(params, sample.configs, energies)
                 adam, theta = adam_update(adam, theta, grad, cfg)
-                ansatz.set_flat(theta)
+                params = type(params).from_flat(theta, *params.shape)
     except BaseException as exc:
         reason, error = "error", f"{type(exc).__name__}: {exc}"
         raise

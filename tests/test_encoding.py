@@ -129,6 +129,15 @@ class TestTwoBodyElement:
         with pytest.raises(ValueError):
             twobody_element(linear_instance(4), 0, 2, 1, 2, PEN)
 
+    @pytest.mark.parametrize("levels", [(1.5, 2, 1, 2), (1, 2, 1, 5), (1, np.nan, 1, 2)])
+    def test_a_level_that_is_no_label_is_an_invalid_tour(self, levels):
+        """The four levels follow the label rule of qtsp.instance against N."""
+        with pytest.raises(InvalidTourError, match="outside 1..4"):
+            twobody_element(linear_instance(4), *levels, PEN)
+
+    def test_an_integral_float_is_its_label(self):
+        assert twobody_element(linear_instance(4), 1.0, 2.0, 1, 3.0, PEN) == 1000.0
+
 
 class TestRingElement:
     def test_diagonal_is_tour_length(self):

@@ -165,7 +165,7 @@ class TestSweep:
         summary that loads back."""
         from qtsp import nqs
 
-        monkeypatch.setattr(nqs, "cnn_energy_gradient",
+        monkeypatch.setattr(nqs, "cnn_energy_gradient_unchecked",
                             lambda params, configs, energies: np.full(params.n_real_params, np.nan))
         summary = sweep(linear_instance(12), "qudit", None, 3, 0, max_steps=20)
         assert [t.reason for t in summary.trials] == ["error"] * 3
@@ -376,7 +376,7 @@ class TestCli:
         and solve still stops with the same message and exit code."""
         from qtsp import nqs
 
-        monkeypatch.setattr(nqs, "cnn_energy_gradient",
+        monkeypatch.setattr(nqs, "cnn_energy_gradient_unchecked",
                             lambda params, configs, energies: np.full(params.n_real_params, np.nan))
         out = tmp_path / "run.jsonl"
         assert cli(["solve", "--rep", "qudit", "--cities", "6", "--steps", "5", "--seed", "1",
@@ -595,7 +595,7 @@ class TestCli:
         way."""
         from qtsp import nqs
 
-        real = nqs.cnn_energy_gradient
+        real = nqs.cnn_energy_gradient_unchecked
         calls = []
 
         def gradient(params, configs, energies):  # a failed trial makes one call
@@ -604,7 +604,7 @@ class TestCli:
                 return np.full(params.n_real_params, np.nan)
             return real(params, configs, energies)
 
-        monkeypatch.setattr(nqs, "cnn_energy_gradient", gradient)
+        monkeypatch.setattr(nqs, "cnn_energy_gradient_unchecked", gradient)
         path = tmp_path / "s.json"
         assert cli(["sweep", "--cities", "12", "--rep", "qudit", "--trials", "3", "--seed", "0",
                     "--steps", "5", "--out", str(path)]) == code

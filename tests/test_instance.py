@@ -190,6 +190,13 @@ LABEL_ENTRY_POINTS = {
     "rbm_tour_energy_gradient": ("labels", lambda batch, n: nqs.rbm_tour_energy_gradient(
         nqs.init_params("rbm", (n * n, 2), 0.1, 0), np.concatenate([batch, batch]),
         np.arange(2.0 * len(batch)))),
+    "cnn_log_psi": ("labels", lambda batch, n: nqs.cnn_log_psi(
+        nqs.init_params("cnn", (2, 2), 0.1, 0), batch)),
+    "cnn_log_derivatives": ("labels", lambda batch, n: nqs.cnn_log_derivatives(
+        nqs.init_params("cnn", (2, 2), 0.1, 0), batch)),
+    "cnn_energy_gradient": ("labels", lambda batch, n: nqs.cnn_energy_gradient(
+        nqs.init_params("cnn", (2, 2), 0.1, 0), np.concatenate([batch, batch]),
+        np.arange(2.0 * len(batch)))),
     "is_permutation": ("answers", _rows(is_permutation)),
     "are_permutations": ("answers", lambda batch, n: are_permutations(batch).tolist()),
     "qudit_diagonal_energy": ("answers", _rows(

@@ -3,6 +3,7 @@ import json
 import math
 import warnings
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -31,8 +32,8 @@ from qtsp.vmc import (
     RunRecord,
     VmcConfig,
     adam_update,
-    build_ansatz,
     estimate_gradient,
+    init_network,
     local_energies,
     train,
 )
@@ -330,7 +331,7 @@ class TestTrain:
         assert all(s["acceptance_min"] <= s["acceptance_rate"] <= s["acceptance_max"]
                    for s in steps)
         assert any(s["acceptance_min"] < s["acceptance_max"] for s in steps)
-        monkeypatch.setattr(nqs, "cnn_log_psi", lambda params, tours: np.zeros(len(tours)))
+        monkeypatch.setattr(nqs, "cnn_log_psi_unchecked", lambda params, tours: np.zeros(len(tours)))
         assert all(s["acceptance_min"] == s["acceptance_rate"] == s["acceptance_max"] == 1.0
                    for s in step_lines())
 
@@ -450,17 +451,17 @@ def optimal_probability_after_exact_sampling(n, representation, seed, learning_r
     cfg = midpoint_vmc_config(n, representation, seed=seed, max_steps=steps)
     if learning_rate is not None:
         cfg = replace(cfg, learning_rate=learning_rate)
-    ansatz = build_ansatz(cfg, n)
-    theta = ansatz.get_flat()
+    params, log_psi, energy_gradient = init_network(cfg, n)
+    theta = params.to_flat()
     adam = AdamState.zeros(theta.size)
     rng = np.random.default_rng(seed)
     for _ in range(steps):
-        tours, p = pinned_born_law(ansatz.log_psi_tours, n)
+        tours, p = pinned_born_law(partial(log_psi, params), n)
         sample = tours[rng.choice(len(tours), size=cfg.sampler.sample_size, p=p)]
-        grad = ansatz.energy_gradient(sample, local_energies(inst, sample))
+        grad = energy_gradient(params, sample, local_energies(inst, sample))
         adam, theta = adam_update(adam, theta, grad, cfg)
-        ansatz.set_flat(theta)
-    tours, p = pinned_born_law(ansatz.log_psi_tours, n)
+        params = type(params).from_flat(theta, *params.shape)
+    tours, p = pinned_born_law(partial(log_psi, params), n)
     return p[tour_lengths(inst, tours) == planted_optimum(n)].sum()
 
 
@@ -485,30 +486,25 @@ class TestLearningControl:
 
 
 class TestBuildAnsatz:
+    """The network a run starts from: vmc.init_network and the NETWORKS table."""
+
     def test_qudit_shapes(self):
         cfg = midpoint_vmc_config(6, "qudit", seed=0, max_steps=1)
-        ansatz = build_ansatz(cfg, 6)
-        assert ansatz.params.kernel_size == cfg.kernel_size
-        assert ansatz.params.n_channels == cfg.n_channels
+        params, _, _ = init_network(cfg, 6)
+        assert params.kernel_size == cfg.kernel_size
+        assert params.n_channels == cfg.n_channels
 
     def test_qubit_shapes(self):
         cfg = midpoint_vmc_config(6, "qubit", seed=0, max_steps=1)
-        ansatz = build_ansatz(cfg, 6)
-        assert ansatz.params.n_visible == 36
-        assert ansatz.params.n_hidden == cfg.n_hidden
+        params, _, _ = init_network(cfg, 6)
+        assert params.n_visible == 36
+        assert params.n_hidden == cfg.n_hidden
 
     def test_init_seed_reproducible(self):
         cfg = midpoint_vmc_config(5, "qudit", seed=7, max_steps=1)
-        a = build_ansatz(cfg, 5)
-        b = build_ansatz(cfg, 5)
-        assert np.array_equal(a.params.w, b.params.w)
-
-    def test_flat_round_trip_through_ansatz(self):
-        cfg = midpoint_vmc_config(5, "qudit", seed=7, max_steps=1)
-        ansatz = build_ansatz(cfg, 5)
-        flat = ansatz.get_flat()
-        ansatz.set_flat(flat * 2)
-        np.testing.assert_array_equal(ansatz.get_flat(), flat * 2)
+        a, _, _ = init_network(cfg, 5)
+        b, _, _ = init_network(cfg, 5)
+        assert np.array_equal(a.w, b.w)
 
     @pytest.mark.parametrize("representation,shape", [
         ("qudit", {"n_hidden": 7}), ("qudit", {"kernel_size": 0}),
@@ -524,23 +520,41 @@ class TestBuildAnsatz:
         from dataclasses import replace
         cfg = replace(midpoint_vmc_config(4, "qudit", seed=0, max_steps=1), kernel_size=9)
         with pytest.raises(ValueError):
-            build_ansatz(cfg, 4)
+            init_network(cfg, 4)
 
     def test_the_sampler_reads_no_labels_on_the_qubit_path(self, monkeypatch):
         """Proposals are swaps of init_chains' tours, so the spin network the
         sampler calls is the unchecked form; the public entry still reads."""
         cfg = midpoint_vmc_config(6, "qubit", seed=1, max_steps=1)
-        ansatz = build_ansatz(cfg, 6)
+        params, log_psi, _ = init_network(cfg, 6)
         chains = init_chains(linear_instance(6), cfg.sampler)
 
         def no_reading(*args):
             raise AssertionError("the sampler read tour labels")
 
         monkeypatch.setattr(nqs, "read_labels", no_reading)
-        sample = run_chains(chains, ansatz.log_psi_tours, cfg.sampler)
+        sample = run_chains(chains, partial(log_psi, params), cfg.sampler)
         assert sample.configs.shape == (cfg.sampler.sample_size, 6)
         with pytest.raises(AssertionError, match="read tour labels"):
-            nqs.rbm_tour_log_psi(ansatz.params, sample.configs)
+            nqs.rbm_tour_log_psi(params, sample.configs)
+
+    @pytest.mark.parametrize("representation", ["qubit", "qudit"])
+    def test_training_reads_labels_once_per_step(self, representation, monkeypatch):
+        """local_energies reads each step's sample; the sampler and the
+        energy gradient that train calls read none."""
+        from qtsp import instance
+        real, reads = instance.read_labels, []
+
+        def counting(*args, **kwargs):
+            reads.append(None)
+            return real(*args, **kwargs)
+
+        for module in (instance, nqs):
+            monkeypatch.setattr(module, "read_labels", counting)
+        cfg = replace(midpoint_vmc_config(5, representation, seed=1, max_steps=3),
+                      prune_no_improve_steps=1000)
+        assert train(linear_instance(5), cfg).n_steps == 3
+        assert len(reads) == 3
 
 
 class TestArrayContainers:
@@ -552,8 +566,9 @@ class TestArrayContainers:
     def test_compare_by_identity_and_hash(self):
         cfg = midpoint_vmc_config(5, "qudit", seed=1, max_steps=2)
         records = [train(linear_instance(5), cfg) for _ in range(2)]
+        params, log_psi, _ = init_network(cfg, 5)
         samples = [run_chains(init_chains(linear_instance(5), cfg.sampler),
-                              build_ansatz(cfg, 5).log_psi_tours, cfg.sampler) for _ in range(2)]
+                              partial(log_psi, params), cfg.sampler) for _ in range(2)]
         pairs = [(AdamState.zeros(2), AdamState.zeros(2)), samples, records,
                  (records[0].steps[0], records[1].steps[0])]
         for a, b in pairs:
