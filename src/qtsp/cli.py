@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import sys
 from dataclasses import fields
 from functools import lru_cache
@@ -38,13 +37,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _seed(args) -> int:
-    """--seed, else the QTSP_SEED environment variable, else 0; a seed that
-    is not a non-negative integer is an error naming where it came from."""
-    source, value = ("--seed", args.seed) if args.seed is not None else (
-        "QTSP_SEED", os.environ.get("QTSP_SEED", "0"))
-    if not str(value).isdecimal():
-        raise QtspError(f"{source} must be a non-negative integer, got {value!r}")
-    return int(value)
+    """--seed, which must be a non-negative integer."""
+    if args.seed < 0:
+        raise QtspError(f"--seed must be a non-negative integer, got {args.seed}")
+    return args.seed
 
 
 def _add_instance_flags(p: argparse.ArgumentParser) -> None:
@@ -75,8 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--rep", choices=tuple(NETWORKS), required=True)
     p_solve.add_argument("--net", choices=tuple(kind for kind, *_ in NETWORKS.values()),
                          help="ansatz (defaults to the representation's native one)")
-    p_solve.add_argument("--seed", type=int, default=None,
-                         help="master seed (default: QTSP_SEED env var, else 0)")
+    p_solve.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     # a flag that sets a run setting takes its field name as dest; None keeps the default
     p_solve.add_argument("--steps", type=int, dest="max_steps", help="maximum MC steps")
     p_solve.add_argument("--lr", type=float, dest="learning_rate")
@@ -113,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_flags(p_sweep)
     p_sweep.add_argument("--rep", choices=tuple(NETWORKS), required=True)
     p_sweep.add_argument("--trials", type=int, default=20)
-    p_sweep.add_argument("--seed", type=int, default=None)
+    p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--steps", type=int, dest="max_steps", default=400,
                          help="maximum MC steps per trial")
     p_sweep.add_argument("--time-limit", type=float, dest="prune_wall_clock_s")

@@ -27,8 +27,7 @@ REPORT_HEADER = ["n_cities", "representation", "n_trials", "percent_converged", 
 
 def is_planted_linear(instance: Instance) -> bool:
     """True for the benchmark layout: the distances |i - j| of cities on a
-    line, in label order. They alone fix the optimum at 2(N - 1), whatever
-    the coordinates."""
+    line, in label order. They fix the optimum at 2(N - 1)."""
     line = np.arange(instance.n_cities, dtype=float)
     return np.array_equal(instance.dist, np.abs(line[:, None] - line))
 
@@ -248,9 +247,10 @@ def sweep(
 
 
 def summary_json(summary: SweepSummary) -> str:
-    """The sweep summary file format that load_summary reads: strict JSON,
-    so a NaN or infinite value raises ValueError."""
-    return json.dumps(asdict(summary), indent=2, allow_nan=False) + "\n"
+    """The sweep summary file format that load_summary reads: one line of
+    strict JSON, so a NaN or infinite value raises ValueError. No indent,
+    as in instance.instance_json."""
+    return json.dumps(asdict(summary), allow_nan=False) + "\n"
 
 
 _JSON_TYPES = {"int": (int,), "float": (int, float), "float | None": (int, float, type(None)),

@@ -33,15 +33,10 @@ _BRUTE_FORCE_CHUNK = 200_000
 
 @dataclass(frozen=True, eq=False)
 class Instance:
-    """A symmetric TSP instance.
-
-    dist holds the pairwise distances (dist[i-1, j-1] is the distance
-    between cities i and j); coords optionally carries 1-D positions for
-    instances generated from a line layout.
-    """
+    """A symmetric TSP instance: its pairwise distances, dist[i-1, j-1]
+    between cities i and j, which are all that a tour length reads."""
 
     dist: np.ndarray
-    coords: np.ndarray | None = None
 
     def __post_init__(self):
         dist = np.asarray(self.dist, dtype=float)
@@ -62,13 +57,6 @@ class Instance:
             raise InvalidInstanceError(f"N * max distance must be at most {MAX_TOUR_LENGTH:g}, "
                                        f"got {n} * {dist.max():g}")
         object.__setattr__(self, "dist", dist)
-        if self.coords is not None:
-            coords = np.asarray(self.coords, dtype=float)
-            if coords.shape != (n,):
-                raise InvalidInstanceError("coords must list one position per city")
-            if not np.all(np.isfinite(coords)):
-                raise InvalidInstanceError("coords must be finite")
-            object.__setattr__(self, "coords", coords)
 
     @property
     def n_cities(self) -> int:
@@ -79,9 +67,8 @@ def linear_instance(n_cities: int) -> Instance:
     """Cities on a line at positions x_i = i, i = 1..N."""
     if n_cities < 2:
         raise InvalidInstanceError("linear instance needs n_cities >= 2")
-    coords = np.arange(1, n_cities + 1, dtype=float)
-    dist = np.abs(coords[:, None] - coords[None, :])
-    return Instance(dist=dist, coords=coords)
+    x = np.arange(1, n_cities + 1, dtype=float)
+    return Instance(dist=np.abs(x[:, None] - x))
 
 
 def planted_optimum(n_cities: int) -> float:
@@ -223,18 +210,18 @@ def farthest_city_tour(instance: Instance, start_city: int) -> np.ndarray:
 
 
 def instance_json(instance: Instance) -> str:
-    """The instance file format that load_instance reads."""
-    payload = {
-        "n_cities": instance.n_cities,
-        "coords": None if instance.coords is None else instance.coords.tolist(),
-        "dist": instance.dist.tolist(),
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    """The instance file format that load_instance reads: n_cities and dist
+    on one line of strict JSON. No indent: json's indenting encoder is
+    Python code that leaves reference cycles on every call."""
+    payload = {"n_cities": instance.n_cities, "dist": instance.dist.tolist()}
+    return json.dumps(payload, allow_nan=False) + "\n"
 
 
 def load_instance(path: str | Path) -> Instance:
-    """Read an instance from JSON, validating shape, symmetry and diagonal.
-    Raises InvalidInstanceError naming the file on any malformed content."""
+    """Read an instance from JSON, validating shape, symmetry and diagonal;
+    keys other than n_cities and dist, such as the coords of older files,
+    are ignored. Raises InvalidInstanceError naming the file on any
+    malformed content."""
     try:
         payload = json.loads(Path(path).read_text())
         n = payload["n_cities"]
@@ -243,9 +230,6 @@ def load_instance(path: str | Path) -> Instance:
         dist = np.asarray(payload["dist"], dtype=float)
         if dist.shape != (n, n):
             raise ValueError(f"dist shape {dist.shape} does not match n_cities={n}")
-        coords = payload.get("coords")
-        if coords is not None:
-            coords = np.asarray(coords, dtype=float)
-        return Instance(dist=dist, coords=coords)
+        return Instance(dist=dist)
     except (InvalidInstanceError, KeyError, TypeError, ValueError) as exc:
         raise InvalidInstanceError(f"malformed instance file {path}: {exc}") from exc

@@ -485,7 +485,7 @@ class TestLearningControl:
             assert learned >= self.FLOOR[representation] and frozen <= 0.2, (seed, learned, frozen)
 
 
-class TestBuildAnsatz:
+class TestInitNetwork:
     """The network a run starts from: vmc.init_network and the NETWORKS table."""
 
     def test_qudit_shapes(self):
