@@ -60,14 +60,19 @@ class TestDefaultTarget:
         assert lines[0]["target_energy"] == 60.0
         assert lines[-1]["reason"] == "target-reached"
 
-    def test_line_distances_alone_use_the_planted_value(self, tmp_path):
-        """Distances |i - j| fix the optimum at 2(N - 1); at N=12 brute force
-        is out of reach, so `--target auto` has only the planted value to
-        aim at."""
+    @pytest.mark.parametrize("coords", [None, list(range(12))], ids=["no-coords", "from-zero"])
+    def test_line_distances_alone_use_the_planted_value(self, tmp_path, coords):
+        """Distances |i - j| fix the optimum at 2(N - 1) whatever coordinates
+        an older file also holds; at N=12 brute force is out of reach, so
+        `--target auto` has only the planted value to aim at."""
         inst = Instance(dist=linear_instance(12).dist)
         assert default_target(inst) == planted_optimum(12) == 22.0
         path = tmp_path / "line.json"
-        path.write_text(instance_json(inst))
+        if coords is None:
+            path.write_text(instance_json(inst))
+        else:
+            path.write_text(json.dumps({"n_cities": 12, "coords": coords,
+                                        "dist": inst.dist.tolist()}))
         out = tmp_path / "run.jsonl"
         assert cli(["solve", "--rep", "qudit", "--instance", str(path), "--target", "auto",
                     "--steps", "2", "--seed", "1", "--out", str(out)]) == 0
