@@ -4,8 +4,8 @@ Subcommands: gen (write a linear instance), solve (one training run),
 exact (brute-force optimum), diag (lowest eigenvalue of the dense matrix
 at tiny N; not a tour length, see the README),
 sweep (random hyperparameter search) and report (CSV convergence table).
-Exit codes: 0 success, 1 usage error, 2 runtime error (for sweep: every
-trial failed).
+Exit codes: 0 success, 1 usage error, 2 runtime error, a failed allocation
+included (for sweep: every trial failed).
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--no-improve-steps", type=int, dest="prune_no_improve_steps")
     p_solve.add_argument("--fix-first", action=argparse.BooleanOptionalAction, default=True,
                          help="pin city 1 to the first tour slot")
-    p_solve.add_argument("--out", type=str, default=None, help="stream a JSONL run record here")
+    p_solve.add_argument("--out", type=str, default=None, help="JSONL stream path, '-' for stdout")
 
     p_exact = sub.add_parser("exact", help="brute-force optimum (N <= 12)")
     _add_instance_flags(p_exact)
@@ -204,18 +204,20 @@ def _cmd_solve(args) -> int:
         out = []  # opened at train's header line, once its set-up checks have passed
         def sink(line: dict) -> None:
             if not out:
-                out.append(stack.enter_context(open(args.out, "w", encoding="utf-8")))
+                out.append(sys.stdout if args.out == "-" else
+                           stack.enter_context(open(args.out, "w", encoding="utf-8")))
             out[0].write(json.dumps(line, allow_nan=False) + "\n")
             out[0].flush()
         record = train(instance, cfg, target_energy=target,
                        sink=None if args.out is None else sink)
 
-    print(f"reason: {record.termination_reason}")
-    print(f"steps: {record.n_steps}")
-    print(f"best_energy: {record.best_energy}")
-    print("best_tour:", " ".join(str(c) for c in record.best_tour))
-    print(f"converged: {str(record.converged).lower()}")
-    print(f"time_s: {record.total_time_s:.3f}")
+    if args.out != "-":  # else stdout holds the stream alone, whose footer has these facts
+        print(f"reason: {record.termination_reason}")
+        print(f"steps: {record.n_steps}")
+        print(f"best_energy: {record.best_energy}")
+        print("best_tour:", " ".join(str(c) for c in record.best_tour))
+        print(f"converged: {str(record.converged).lower()}")
+        print(f"time_s: {record.total_time_s:.3f}")
     return 0
 
 
@@ -264,7 +266,7 @@ def cli(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (QtspError, OSError, ValueError) as exc:
+    except (QtspError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import InvalidTourError, SizeLimitError
 from .instance import (
     Instance, TourLike, are_labels, are_permutations, is_permutation, read_labels, read_tours,
-    spin_columns, tour_length, tour_lengths,
+    tour_length, tour_lengths,
 )
 
 DENSE_MAX_CITIES = 5
@@ -55,24 +55,27 @@ def default_penalties(instance: Instance) -> PenaltyConfig:
 # one-hot spins
 # ---------------------------------------------------------------------------
 
+def _onehot(labels: np.ndarray) -> np.ndarray:
+    """(B, N, N) bools z[b, i-1, a-1]: slot a of row b holds city i, for a
+    (B, N) batch that read_labels has read."""
+    return labels[:, None, :] == np.arange(1, labels.shape[1] + 1)[:, None]
+
+
 def tour_to_onehot(order: TourLike) -> np.ndarray:
     """Permutation matrix z with z[i-1, a-1] = 1 iff tour slot a holds city i."""
-    (order,) = read_tours([order])
-    return (order == np.arange(1, order.shape[0] + 1)[:, None]).astype(np.int64)
+    return _onehot(read_tours([order]))[0].astype(np.int64)
 
 
 def tours_to_sigma(orders: np.ndarray) -> np.ndarray:
-    """Map a (B, N) batch of tours to (B, N^2) spin vectors in {-1, +1}.
+    """Map a (B, N) batch of labels to (B, N^2) spin vectors in {-1, +1}.
 
     Row-major flattening of the (city, slot) one-hot matrix: the input
     layout of the spin network, whose tour entries in `qtsp.nqs` read the
     up spins' columns instead of building this batch.
     """
-    columns = spin_columns(orders)
-    b, n = columns.shape
-    sigma = np.full((b, n * n), -1.0)
-    sigma[np.arange(b)[:, None], columns] = 1.0
-    return sigma
+    z = _onehot(read_labels(orders))
+    b, n, _ = z.shape
+    return np.where(z, 1.0, -1.0).reshape(b, n * n)
 
 
 def qubo_objective(instance: Instance, z: np.ndarray) -> float:

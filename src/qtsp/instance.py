@@ -1,9 +1,8 @@
 """TSP instances, tour arithmetic and exact brute-force oracles.
 
 Tour arithmetic is owned here: the label test and reader (`are_labels`,
-`read_labels`), cyclic lengths (`tour_lengths`), the permutation test
-(`are_permutations`) and the (city, slot) label map of the one-hot spins
-(`spin_columns`).
+`read_labels`), cyclic lengths (`tour_lengths`) and the permutation test
+(`are_permutations`).
 
 Cities are labelled 1..N throughout the public API; a tour is a length-N
 permutation of those labels and is always understood cyclically (the leg
@@ -133,15 +132,6 @@ def is_permutation(order: TourLike, n_cities: int) -> bool:
     return order.shape == (n_cities,) and bool(are_permutations(order[None])[0])
 
 
-def spin_columns(orders: np.ndarray) -> np.ndarray:
-    """The (B, N) indices of the up spins of a (B, N) label batch in the
-    row-major (city, slot) spin layout, (city - 1) * N + slot, once
-    read_labels has read it."""
-    labels = read_labels(orders)
-    n = labels.shape[1]
-    return (labels - 1) * n + np.arange(n)
-
-
 def tour_length(instance: Instance, order: TourLike) -> float:
     """Cyclic tour length, closing leg included."""
     return float(tour_lengths(instance, read_tours([order], instance.n_cities))[0])
@@ -220,16 +210,18 @@ def instance_json(instance: Instance) -> str:
 def load_instance(path: str | Path) -> Instance:
     """Read an instance from JSON, validating shape, symmetry and diagonal;
     keys other than n_cities and dist, such as the coords of older files,
-    are ignored. Raises InvalidInstanceError naming the file on any
-    malformed content."""
+    are ignored. Raises InvalidInstanceError naming the file on malformed
+    content, a distance that is no JSON number or past the float range included."""
     try:
         payload = json.loads(Path(path).read_text())
         n = payload["n_cities"]
         if type(n) is not int:  # a bool is no city count, and 2.7 is not 2
             raise TypeError(f"n_cities must be an integer, got {n!r}")
+        if bad := [d for row in payload["dist"] for d in row if type(d) not in (int, float)]:
+            raise TypeError(f"distances must be JSON numbers, got {bad[0]!r}")
         dist = np.asarray(payload["dist"], dtype=float)
         if dist.shape != (n, n):
             raise ValueError(f"dist shape {dist.shape} does not match n_cities={n}")
         return Instance(dist=dist)
-    except (InvalidInstanceError, KeyError, TypeError, ValueError) as exc:
+    except (InvalidInstanceError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InvalidInstanceError(f"malformed instance file {path}: {exc}") from exc

@@ -242,10 +242,12 @@ def _rbm_columns(params: RbmParams) -> tuple[np.ndarray, np.ndarray, complex]:
     their N^2 entries up, so W sigma + b = 2 (the sum of the N up columns of
     W) + b - W 1, and a . sigma = 2 (the sum of the N up entries of a) - sum a.
     Holds W's columns as a contiguous (N, N, n_hidden) array indexed by
-    (city - 1, slot), the row-major spin layout of instance.spin_columns,
+    (city - 1, slot), the row-major spin layout of encoding.tours_to_sigma,
     b - W 1 and sum a. Cached for the latest parameter object only, as
     train makes a new one at every step; its arrays are read-only."""
     n = math.isqrt(params.n_visible)
+    if n * n != params.n_visible:
+        raise InvalidTourError(f"a network of {params.n_visible} spins takes no tours: not a square")
     columns = np.ascontiguousarray(params.w.T).reshape(n, n, params.n_hidden)
     offset = params.b - params.w.sum(axis=1)
     for array in (columns, offset):
@@ -253,20 +255,11 @@ def _rbm_columns(params: RbmParams) -> tuple[np.ndarray, np.ndarray, complex]:
     return columns, offset, complex(params.a.sum())
 
 
-def _check_width(params: RbmParams, tours: np.ndarray) -> None:
-    """Raise InvalidTourError unless tours is a (B, N) batch of the network's N^2 spins."""
-    shape = np.shape(tours)
-    if len(shape) != 2 or shape[1] ** 2 != params.n_visible:
-        raise InvalidTourError(f"expected (B, {params.n_visible}) spin batch as "
-                               f"(B, {math.isqrt(params.n_visible)}) tours, got {shape}")
-
-
 def rbm_tour_log_psi(params: RbmParams, tours: np.ndarray) -> np.ndarray:
     """log psi of a (B, N) batch of tours: rbm_log_psi of their one-hot
     spins (encoding.tours_to_sigma), from the N up columns of each tour.
     The (B, N, n_hidden) gather is small at the sampler's batch size."""
-    _check_width(params, tours)
-    return rbm_tour_log_psi_unchecked(params, read_labels(tours))
+    return rbm_tour_log_psi_unchecked(params, read_labels(tours, math.isqrt(params.n_visible)))
 
 
 def rbm_tour_log_psi_unchecked(params: RbmParams, tours: np.ndarray) -> np.ndarray:
@@ -287,8 +280,8 @@ def rbm_tour_energy_gradient(params: RbmParams, tours: np.ndarray,
     """Flat real covariance gradient 2 Re sum_b c_b conj(O_b), c = (E - mean E) / S,
     of a (B, N) tour batch, with no (B, 2P) log-derivative matrix and no
     (B, N^2) spin batch."""
-    _check_width(params, tours)
-    return rbm_tour_energy_gradient_unchecked(params, read_labels(tours), energies)
+    labels = read_labels(tours, math.isqrt(params.n_visible))
+    return rbm_tour_energy_gradient_unchecked(params, labels, energies)
 
 
 def rbm_tour_energy_gradient_unchecked(params: RbmParams, tours: np.ndarray,

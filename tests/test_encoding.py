@@ -129,7 +129,8 @@ class TestTwoBodyElement:
         with pytest.raises(ValueError):
             twobody_element(linear_instance(4), 0, 2, 1, 2, PEN)
 
-    @pytest.mark.parametrize("levels", [(1.5, 2, 1, 2), (1, 2, 1, 5), (1, np.nan, 1, 2)])
+    @pytest.mark.parametrize("levels", [(1.5, 2, 1, 2), (1, 2, 1, 5), (1, np.nan, 1, 2),
+                                        ("a", 2, 1, 2)])
     def test_a_level_that_is_no_label_is_an_invalid_tour(self, levels):
         """The four levels follow the label rule of qtsp.instance against N."""
         with pytest.raises(InvalidTourError, match="outside 1..4"):
@@ -291,6 +292,11 @@ def test_dense_to_csv_round_trips():
     assert rows[0] == basis_labels(2) == ["(1,1)", "(1,2)", "(2,1)", "(2,2)"]
     values = np.array([[float(v) for v in row] for row in rows[1:]])
     assert np.array_equal(values, h)
+
+
+def test_dense_to_csv_refuses_a_matrix_of_another_basis():
+    with pytest.raises(ValueError, match="does not match the N\\^N basis"):
+        dense_to_csv(np.zeros((4, 4)), 3)
 
 
 def test_default_penalties_dominate_distances():

@@ -236,6 +236,11 @@ class TestSweep:
         with pytest.raises(ValueError, match=f"search space entry '{key}'"):
             sweep(linear_instance(4), "qudit", space, 2, 0, max_steps=5)
 
+    def test_no_trials_is_refused(self, monkeypatch):
+        monkeypatch.setattr("qtsp.harness.train", lambda *args, **kwargs: pytest.fail("trained"))
+        with pytest.raises(ValueError, match="n_trials must be at least 1"):
+            sweep(linear_instance(4), "qudit", None, 0, 0)
+
     @pytest.mark.parametrize("budget", [{"prune_wall_clock_s": -1.0}, {"max_steps": 0},
                                         {"prune_no_improve_steps": 0}])
     def test_a_bad_budget_is_refused_before_any_trial(self, budget, monkeypatch):
@@ -665,7 +670,8 @@ class TestCli:
 
     @pytest.mark.parametrize("broken", ["no trials", "unknown trial key", "null percentage",
                                         "NaN percentage", "infinite wall time",
-                                        "boolean step count", "not JSON"])
+                                        "boolean step count", "not JSON",
+                                        "401-digit percentage"])
     def test_malformed_summary_is_runtime_error(self, tmp_path, capsys, broken):
         payload = asdict(fake_summary(4, "qudit", [True], [1.0]))
         if broken == "no trials":
@@ -680,6 +686,8 @@ class TestCli:
             payload["trials"][0]["wall_s"] = math.inf
         elif broken == "boolean step count":
             payload["trials"][0]["n_steps"] = True
+        elif broken == "401-digit percentage":
+            payload["percent_converged"] = 10**400  # past the float range the report formats
         path = tmp_path / "s.json"
         path.write_text("not JSON" if broken == "not JSON" else json.dumps(payload))
         with pytest.raises(ValueError, match="s.json"):
@@ -693,6 +701,38 @@ class TestCli:
         assert cli(["solve", "--rep", "qudit", "--cities", "6", "--steps", "5",
                     f"--target={target}", "--out", str(out)]) == 1
         assert "--target must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("target, code", [("22", 0), ("abc", 1)])
+    def test_a_numeric_target_is_read_as_a_number(self, tmp_path, capsys, target, code):
+        out = tmp_path / "r.jsonl"
+        assert cli(["solve", "--rep", "qudit", "--cities", "12", "--steps", "2",
+                    "--target", target, "--out", str(out)]) == code
+        if code == 0:
+            assert json.loads(out.read_text().splitlines()[0])["target_energy"] == 22.0
+        else:
+            assert "--target must be a number or 'auto', got 'abc'" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_solve_out_dash_streams_to_stdout(self, tmp_path, monkeypatch, capsys):
+        """No file named -; stdout holds the strict-JSON stream alone,
+        header first and footer last."""
+        monkeypatch.chdir(tmp_path)
+        assert cli(["solve", "--rep", "qudit", "--cities", "6", "--steps", "5",
+                    "--out", "-"]) == 0
+        assert list(tmp_path.iterdir()) == []
+        lines = [json.loads(line, parse_constant=lambda c: pytest.fail(f"{c} is not strict JSON"))
+                 for line in capsys.readouterr().out.splitlines()]
+        assert [line["type"] for line in lines] == ["header"] + ["step"] * 5 + ["footer"]
+
+    @pytest.mark.parametrize("command", [["gen"], ["solve", "--rep", "qudit", "--steps", "1"]],
+                             ids=["gen", "solve"])
+    def test_a_failed_allocation_is_runtime_error(self, tmp_path, capsys, command):
+        """10^18 cities need 6.9 EiB, which no 64-bit host can map, so the
+        allocation fails at once."""
+        out = tmp_path / "out"
+        assert cli([*command, "--cities", str(10**18), "--out", str(out)]) == 2
+        assert "error: Unable to allocate" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_flag_is_usage_error(self):

@@ -29,7 +29,6 @@ from qtsp.instance import (
     load_instance,
     planted_optimum,
     read_labels,
-    spin_columns,
     tour_length,
     tour_lengths,
 )
@@ -88,6 +87,13 @@ class TestInstanceValidation:
         with pytest.raises(InvalidInstanceError, match="big.json"):
             load_instance(write_instance_file(tmp_path / "big.json", dist))
 
+    @pytest.mark.parametrize("dist, message", [(np.zeros((2, 3)), "must be square"),
+                                               (np.zeros((1, 1)), "at least 2 cities")],
+                             ids=["non-square", "one-city"])
+    def test_rejects_a_matrix_of_no_tour(self, dist, message):
+        with pytest.raises(InvalidInstanceError, match=message):
+            Instance(dist=dist)
+
     def test_accepts_tour_lengths_at_the_bound(self):
         inst = Instance(dist=MAX_TOUR_LENGTH / 4 * (1.0 - np.eye(4)))
         assert tour_length(inst, [1, 2, 3, 4]) == pytest.approx(MAX_TOUR_LENGTH)
@@ -97,6 +103,11 @@ def test_planted_optimum():
     assert planted_optimum(4) == 6.0
     assert planted_optimum(2) == 2.0
     assert planted_optimum(100) == 198.0
+
+
+def test_planted_optimum_needs_two_cities():
+    with pytest.raises(InvalidInstanceError, match="n_cities >= 2"):
+        planted_optimum(1)
 
 
 class TestTourLength:
@@ -183,7 +194,6 @@ LABEL_ENTRY_POINTS = {
     "tour_length": ("tours", _rows(lambda row, n: tour_length(linear_instance(n), row))),
     "local_energies": ("tours", lambda batch, n: local_energies(linear_instance(n), batch)),
     "tour_to_onehot": ("tours", _rows(lambda row, n: tour_to_onehot(row))),
-    "spin_columns": ("labels", lambda batch, n: spin_columns(batch)),
     "tours_to_sigma": ("labels", lambda batch, n: tours_to_sigma(batch)),
     "ring_hamiltonian_element": ("labels", _rows(
         lambda row, n: ring_hamiltonian_element(linear_instance(n), row, row, _PEN))),
@@ -247,7 +257,7 @@ class TestTheLabelRule:
 
     def test_a_bad_label_is_a_qtsp_error_and_a_value_error(self):
         with pytest.raises(QtspError, match="tour label 1.5 outside 1..3"):
-            spin_columns([[1.5, 2, 3]])
+            tours_to_sigma([[1.5, 2, 3]])
         assert issubclass(InvalidTourError, ValueError)
 
     def test_integral_floats_are_their_labels(self):
@@ -258,11 +268,12 @@ class TestTheLabelRule:
 
 class TestSpinColumns:
     def test_row_major_city_slot_layout(self):
-        assert spin_columns([[2, 1, 3]]).tolist() == [[3, 1, 8]]
+        # up spins at (city - 1) * N + slot: (2, 0), (1, 1), (3, 2) are 3, 1, 8
+        assert np.flatnonzero(tours_to_sigma([[2, 1, 3]])[0] == 1).tolist() == [1, 3, 8]
 
     def test_rejects_a_single_tour(self):
         with pytest.raises(ValueError, match="expected a"):
-            spin_columns([1, 2, 3])
+            tours_to_sigma([1, 2, 3])
 
 
 class TestBruteForce:
@@ -369,7 +380,11 @@ class TestInstanceJson:
         '{"n_cities": true, "coords": null, "dist": [[0]]}',
         '{"coords": null, "dist": [[0, 1], [1, 0]]}',
         '[]',
-    ], ids=["not-json", "fractional-n", "bool-n", "no-n", "list"])
+        '{"n_cities": 2, "dist": [[0, true], [true, 0]]}',
+        '{"n_cities": 2, "dist": [[0, "1"], ["1", 0]]}',
+        json.dumps({"n_cities": 2, "dist": [[0, 10**400], [10**400, 0]]}),
+    ], ids=["not-json", "fractional-n", "bool-n", "no-n", "list", "bool-distance",
+            "string-distance", "401-digit-distance"])
     def test_malformed_file_is_named(self, tmp_path, text):
         path = tmp_path / "bad.json"
         path.write_text(text)

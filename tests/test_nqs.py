@@ -1,3 +1,5 @@
+import math
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from helpers import finite_difference, kink_free_cnn_params, traced_peak, window_preactivations
 from qtsp import nqs
 from qtsp.encoding import tours_to_sigma
+from qtsp.errors import InvalidTourError
 from qtsp.vmc import estimate_gradient
 
 mp.mp.dps = 50
@@ -88,16 +91,17 @@ class TestRbmLogPsi:
         with pytest.raises(ValueError, match=r"expected \(B, 4\) spin batch"):
             nqs.rbm_log_psi(params, np.ones(5))
 
-    @pytest.mark.parametrize("evaluate", [
-        nqs.rbm_log_psi,
-        nqs.rbm_log_derivatives,
-        lambda params, tours: nqs.rbm_tour_energy_gradient(params, tours, np.arange(len(tours))),
-        nqs.rbm_tour_log_psi,
+    @pytest.mark.parametrize("evaluate, message", [
+        (nqs.rbm_log_psi, r"expected \(B, 4\) spin batch"),
+        (nqs.rbm_log_derivatives, r"expected \(B, 4\) spin batch"),
+        (lambda params, tours: nqs.rbm_tour_energy_gradient(params, tours, np.arange(len(tours))),
+         r"expected a \(B, 2\) batch of tours"),
+        (nqs.rbm_tour_log_psi, r"expected a \(B, 2\) batch of tours"),
     ], ids=["log_psi", "log_derivatives", "energy_gradient", "tour_log_psi"])
-    def test_dimension_mismatch_every_entry_point(self, evaluate):
+    def test_dimension_mismatch_every_entry_point(self, evaluate, message):
         """Five spins for a four-spin network; as tours, five cities for two."""
         params = nqs.init_params("rbm", (4, 2), 0.1, 0)
-        with pytest.raises(ValueError, match=r"expected \(B, 4\) spin batch"):
+        with pytest.raises(ValueError, match=message):
             evaluate(params, np.ones((2, 5)))
 
     def test_deterministic(self):
@@ -177,6 +181,23 @@ class TestRbmTours:
             nqs.rbm_tour_log_psi(params, tours)
         with pytest.raises(ValueError, match=f"tour label {label} outside 1..3"):
             nqs.rbm_tour_energy_gradient(params, tours, np.ones(2))
+
+    @pytest.mark.parametrize("n_visible", [2, 5, 8, 10])
+    def test_a_network_of_no_square_size_takes_no_tours(self, n_visible):
+        """Tours as wide as the network's rounded-down root still raise
+        InvalidTourError, not numpy's reshape error."""
+        params = nqs.init_params("rbm", (n_visible, 2), 0.1, 0)
+        width = math.isqrt(n_visible)
+        tours = np.array([np.arange(1, width + 1), np.arange(width, 0, -1)])
+        with pytest.raises(InvalidTourError):
+            nqs.rbm_tour_log_psi(params, tours)
+        with pytest.raises(InvalidTourError):
+            nqs.rbm_tour_energy_gradient(params, tours, np.arange(2.0))
+
+    def test_a_single_config_entry_refuses_a_batch(self):
+        params = nqs.init_params("rbm", (4, 2), 0.1, 0)
+        with pytest.raises(ValueError, match="expected a single configuration"):
+            nqs.rbm_grad_log_psi(params, np.ones((2, 4)))
 
 
 def rbm_blocks(row, m, h):
@@ -510,6 +531,10 @@ class TestInitParams:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             nqs.init_params("mlp", (2, 2), 0.1, 0)
+
+    def test_negative_scale(self):
+        with pytest.raises(ValueError, match="scale must be non-negative"):
+            nqs.init_params("rbm", (2, 2), -0.1, 0)
 
 
 def assert_same_params(restored, params):

@@ -84,6 +84,14 @@ class TestEstimateGradient:
         with pytest.raises(ValueError):
             estimate_gradient(np.ones(3), np.ones((4, 2), dtype=complex))
 
+    @pytest.mark.parametrize("energies, weights, message", [
+        (np.ones(1), None, "at least two configurations"),
+        (np.ones(3), np.ones(2), "weights must match"),
+    ], ids=["one-sample", "mismatched-weights"])
+    def test_sample_guards(self, energies, weights, message):
+        with pytest.raises(ValueError, match=message):
+            estimate_gradient(energies, np.ones((len(energies), 2), dtype=complex), weights)
+
     @pytest.mark.parametrize("kind", ["cnn", "rbm"])
     def test_exact_distribution_matches_finite_differences(self, kind):
         """Gradient identity under the exact Born distribution over all 24
@@ -185,6 +193,10 @@ class TestAdam:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="non-finite update at Adam step 3"):
                 adam_update(state, np.zeros(2), np.array([grad, 0.5]), self.cfg(lr=lr))
+
+    def test_mismatched_gradient(self):
+        with pytest.raises(ValueError, match=r"gradient shape \(3,\) does not match params \(2,\)"):
+            adam_update(AdamState.zeros(2), np.zeros(2), np.zeros(3), self.cfg())
 
     def test_second_moment_nonnegative(self):
         state = AdamState.zeros(3)
@@ -515,6 +527,11 @@ class TestInitNetwork:
         from dataclasses import replace
         with pytest.raises(ValueError, match="belongs to the|needs"):
             replace(midpoint_vmc_config(4, representation, seed=0, max_steps=1), **shape)
+
+    def test_unknown_representation(self):
+        from dataclasses import replace
+        with pytest.raises(ValueError, match="unknown representation 'qutrit'"):
+            replace(midpoint_vmc_config(4, "qudit", seed=0, max_steps=1), representation="qutrit")
 
     def test_kernel_guard(self):
         from dataclasses import replace
