@@ -134,28 +134,38 @@ class TrialResult:
     the message in error, and the step count, best energy (None if no step
     finished) and wall time of train's error footer."""
 
-    trial: int
     hyperparams: dict
     seed: int
     best_energy: float | None
-    converged: bool
     time_to_target_s: float | None
     reason: str
     n_steps: int
     wall_s: float
     error: str | None = None
 
+    @property
+    def converged(self) -> bool:
+        return self.reason == "target-reached"
+
 
 @dataclass(frozen=True)
 class SweepSummary:
-    """A sweep's trials, the share that converged and their median time to target."""
+    """A sweep's trials; its converged share and median time to target are read off them."""
 
     n_cities: int
     representation: str
-    n_trials: int
     trials: list[TrialResult]
-    percent_converged: float
-    median_time_to_target_s: float | None
+
+    n_trials = property(lambda self: len(self.trials))
+
+    @property
+    def percent_converged(self) -> float:
+        return 100.0 * sum(t.converged for t in self.trials) / self.n_trials
+
+    @property
+    def median_time_to_target_s(self) -> float | None:
+        times = [t.time_to_target_s for t in self.trials if t.converged]
+        return float(np.median(times)) if times else None
 
 
 def sample_trial_hyperparams(search_space: dict, sweep_seed: int, trial: int) -> tuple[dict, int]:
@@ -218,30 +228,11 @@ def sweep(
             train(instance, cfg, target_energy=target, sink=keep_footer)
         except Exception as exc:  # one failed trial must not lose the others
             error = f"{type(exc).__name__}: {exc}"
-        return TrialResult(
-            trial=trial,
-            hyperparams=hyperparams,
-            seed=run_seed,
-            best_energy=end["best_energy"],
-            converged=end["reason"] == "target-reached",
-            time_to_target_s=end["time_to_target_s"],
-            reason=end["reason"],
-            n_steps=end["n_steps"],
-            wall_s=end["total_time_s"],
-            error=error,
-        )
+        return TrialResult(hyperparams=hyperparams, seed=run_seed, best_energy=end["best_energy"],
+                           time_to_target_s=end["time_to_target_s"], reason=end["reason"],
+                           n_steps=end["n_steps"], wall_s=end["total_time_s"], error=error)
 
-    trials = [run_trial(t) for t in range(n_trials)]
-
-    converged_times = [t.time_to_target_s for t in trials if t.converged]
-    return SweepSummary(
-        n_cities=instance.n_cities,
-        representation=representation,
-        n_trials=n_trials,
-        trials=trials,
-        percent_converged=100.0 * sum(t.converged for t in trials) / n_trials,
-        median_time_to_target_s=float(np.median(converged_times)) if converged_times else None,
-    )
+    return SweepSummary(instance.n_cities, representation, [run_trial(t) for t in range(n_trials)])
 
 
 def summary_json(summary: SweepSummary) -> str:
@@ -252,33 +243,39 @@ def summary_json(summary: SweepSummary) -> str:
 
 
 _JSON_TYPES = {"int": (int,), "float": (int, float), "float | None": (int, float, type(None)),
-               "bool": (bool,), "str": (str,), "str | None": (str, type(None)), "dict": (dict,),
+               "str": (str,), "str | None": (str, type(None)), "dict": (dict,),
                "list[TrialResult]": (list,)}
 
 
-def _strict_number(text: str) -> int:
-    """A JSON integer as an int. NaN, Infinity and integers past the float
-    range, which the report could not format, raise ValueError."""
-    if not np.isfinite(float(text)):
-        raise ValueError(f"{text} is no finite JSON number")
-    return int(text)
+def _finite(parse):
+    """A json number hook that reads with `parse`. NaN, Infinity and numbers
+    past the float range, which the report could not format, raise ValueError."""
+    def read(text: str):
+        if not np.isfinite(float(text)):
+            raise ValueError(f"{text} is no finite JSON number")
+        return parse(text)
+    return read
 
 
 def load_summary(path: str | Path) -> SweepSummary:
     """Inverse of summary_json. Raises ValueError naming the file on invalid JSON
-    (NaN and Infinity included), an integer past the float range, a missing or
-    unknown key, or a value of a type its field rejects (a bool is no number)."""
+    (NaN and Infinity included), a number past the float range, nesting deeper
+    than the decoder allows, a missing or unknown key, a value of a type its
+    field rejects (a bool is no number), no trials, or a converged trial
+    without a time to target."""
     try:
-        payload = json.loads(Path(path).read_text(), parse_constant=_strict_number,
-                             parse_int=_strict_number)
+        payload = json.loads(Path(path).read_text(), parse_constant=_finite(float),
+                             parse_float=_finite(float), parse_int=_finite(int))
         trials = [TrialResult(**t) for t in payload.pop("trials")]
         summary = SweepSummary(trials=trials, **payload)
         for record in (summary, *trials):
             for f in fields(record):
                 if type(getattr(record, f.name)) not in _JSON_TYPES[f.type]:
                     raise TypeError(f"{f.name} = {getattr(record, f.name)!r}")
+        if not trials or any(t.converged and t.time_to_target_s is None for t in trials):
+            raise ValueError("no trials, or a converged trial with no time_to_target_s")
         return summary
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, RecursionError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed sweep summary ({exc})") from None
 
 

@@ -211,7 +211,7 @@ def load_instance(path: str | Path) -> Instance:
     """Read an instance from JSON, validating shape, symmetry and diagonal;
     keys other than n_cities and dist, such as the coords of older files,
     are ignored. Raises InvalidInstanceError naming the file on malformed
-    content, a distance that is no JSON number or past the float range included."""
+    content, too deep a nesting and a non-number or out-of-range distance included."""
     try:
         payload = json.loads(Path(path).read_text())
         n = payload["n_cities"]
@@ -223,5 +223,6 @@ def load_instance(path: str | Path) -> Instance:
         if dist.shape != (n, n):
             raise ValueError(f"dist shape {dist.shape} does not match n_cities={n}")
         return Instance(dist=dist)
-    except (InvalidInstanceError, KeyError, OverflowError, TypeError, ValueError) as exc:
+    except (InvalidInstanceError, KeyError, OverflowError, RecursionError, TypeError,
+            ValueError) as exc:
         raise InvalidInstanceError(f"malformed instance file {path}: {exc}") from exc

@@ -251,8 +251,8 @@ class TestSweep:
             sweep(linear_instance(5), "qudit", None, 2, 0, **budget)
 
     def test_summary_without_error_field_still_loads(self, tmp_path):
-        """Summaries written before failed trials were recorded have no
-        error key; they load with error None."""
+        """A summary without the error key, which failed trials brought,
+        loads with error None."""
         summary = fake_summary(4, "qudit", [True], [0.5])
         payload = json.loads(summary_json(summary))
         del payload["trials"][0]["error"]
@@ -261,33 +261,26 @@ class TestSweep:
         assert load_summary(path) == summary
 
     def test_summary_in_the_indented_layout_still_loads(self, tmp_path):
-        """Summaries were once written indented; they load as before."""
+        """Summaries were once written indented; an indented one loads."""
         summary = fake_summary(4, "qudit", [True, False], [0.5, None])
         path = tmp_path / "old.json"
         path.write_text(json.dumps(json.loads(summary_json(summary)), indent=2))
         assert load_summary(path) == summary
 
     def test_summary_json_rejects_non_finite_values(self):
-        summary = replace(fake_summary(4, "qudit", [False], [None]), percent_converged=math.nan)
+        summary = fake_summary(4, "qudit", [False], [None])
+        summary = replace(summary, trials=[replace(summary.trials[0], wall_s=math.nan)])
         with pytest.raises(ValueError):
             summary_json(summary)
 
 
 def fake_summary(n_cities, representation, converged_flags, times):
     trials = [
-        TrialResult(trial=i, hyperparams={}, seed=i, best_energy=0.0, converged=flag,
-                    time_to_target_s=t, reason="target-reached" if flag else "max-steps",
-                    n_steps=10, wall_s=1.0)
+        TrialResult(hyperparams={}, seed=i, best_energy=0.0, time_to_target_s=t,
+                    reason="target-reached" if flag else "max-steps", n_steps=10, wall_s=1.0)
         for i, (flag, t) in enumerate(zip(converged_flags, times))
     ]
-    hits = [t for f, t in zip(converged_flags, times) if f and t is not None]
-    import statistics
-    return SweepSummary(
-        n_cities=n_cities, representation=representation, n_trials=len(trials),
-        trials=trials,
-        percent_converged=100.0 * sum(converged_flags) / len(trials),
-        median_time_to_target_s=statistics.median(hits) if hits else None,
-    )
+    return SweepSummary(n_cities=n_cities, representation=representation, trials=trials)
 
 
 class TestReport:
@@ -668,32 +661,68 @@ class TestCli:
         assert rows[0][0] == "n_cities"
         assert rows[1][0] == "4"
 
-    @pytest.mark.parametrize("broken", ["no trials", "unknown trial key", "null percentage",
-                                        "NaN percentage", "infinite wall time",
-                                        "boolean step count", "not JSON",
-                                        "401-digit percentage"])
+    @pytest.mark.parametrize("broken", [
+        "no trials", "unknown trial key", "null wall time", "NaN best energy",
+        "infinite wall time", "boolean step count", "not JSON", "401-digit time to target",
+        "empty trials list", "converged trial without time", "stored n_trials",
+        "stored converged flag", "1e400 best energy", "1e400 time to target", "1e400 wall time",
+        "1e400 hyperparameter"])
     def test_malformed_summary_is_runtime_error(self, tmp_path, capsys, broken):
         payload = asdict(fake_summary(4, "qudit", [True], [1.0]))
+        trial = payload["trials"][0]
+        past_float_range = {"1e400 best energy": (trial, "best_energy"),
+                            "1e400 time to target": (trial, "time_to_target_s"),
+                            "1e400 wall time": (trial, "wall_s"),
+                            "1e400 hyperparameter": (trial["hyperparams"], "learning_rate")}
         if broken == "no trials":
             payload = {}
         elif broken == "unknown trial key":
-            payload["trials"][0]["bogus"] = 1
-        elif broken == "null percentage":
-            payload["percent_converged"] = None
-        elif broken == "NaN percentage":
-            payload["percent_converged"] = math.nan
+            trial["bogus"] = 1
+        elif broken == "null wall time":
+            trial["wall_s"] = None
+        elif broken == "NaN best energy":
+            trial["best_energy"] = math.nan
         elif broken == "infinite wall time":
-            payload["trials"][0]["wall_s"] = math.inf
+            trial["wall_s"] = math.inf
         elif broken == "boolean step count":
-            payload["trials"][0]["n_steps"] = True
-        elif broken == "401-digit percentage":
-            payload["percent_converged"] = 10**400  # past the float range the report formats
+            trial["n_steps"] = True
+        elif broken == "401-digit time to target":
+            trial["time_to_target_s"] = 10**400  # past the float range the report formats
+        elif broken == "empty trials list":
+            payload["trials"] = []  # no share of no trials to report
+        elif broken == "converged trial without time":
+            trial["time_to_target_s"] = None  # no median to report
+        elif broken == "stored n_trials":
+            payload["n_trials"] = 5  # the count is the trials list's length, never stored
+        elif broken == "stored converged flag":
+            trial["converged"] = False  # converged is read off the reason, never stored
+        elif broken in past_float_range:
+            record, key = past_float_range[broken]
+            record[key] = "1e400"  # json.dumps writes no float past the range: spliced in below
         path = tmp_path / "s.json"
-        path.write_text("not JSON" if broken == "not JSON" else json.dumps(payload))
+        text = json.dumps(payload).replace('"1e400"', "1e400")
+        path.write_text("not JSON" if broken == "not JSON" else text)
         with pytest.raises(ValueError, match="s.json"):
             load_summary(path)
         assert cli(["report", str(path)]) == 2
         assert "s.json" in capsys.readouterr().err
+
+    def test_deeply_nested_summary_is_refused(self, tmp_path):
+        """Nesting deeper than json's decoder allows raises RecursionError
+        inside it; the reader refuses the file with its own error."""
+        path = tmp_path / "s.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        with pytest.raises(ValueError, match="s.json"):
+            load_summary(path)
+
+    @pytest.mark.parametrize("command", [
+        ["report", "{path}"], ["exact", "--instance", "{path}"],
+        ["solve", "--rep", "qudit", "--instance", "{path}"]], ids=["report", "exact", "solve"])
+    def test_a_deeply_nested_file_is_runtime_error(self, tmp_path, capsys, command):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        assert cli([arg.format(path=path) for arg in command]) == 2
+        assert "deep.json" in capsys.readouterr().err
 
     @pytest.mark.parametrize("target", ["inf", "nan", "-inf"])
     def test_non_finite_target_is_usage_error(self, tmp_path, capsys, target):

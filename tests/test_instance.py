@@ -391,6 +391,14 @@ class TestInstanceJson:
         with pytest.raises(InvalidInstanceError, match="bad.json"):
             load_instance(path)
 
+    def test_deeply_nested_file_is_named(self, tmp_path):
+        """Nesting deeper than json's decoder allows raises RecursionError
+        inside it; the reader refuses the file with its own error."""
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        with pytest.raises(InvalidInstanceError, match="deep.json"):
+            load_instance(path)
+
     def test_rejects_asymmetric_file(self, tmp_path):
         path = tmp_path / "asym.json"
         path.write_text('{"n_cities": 2, "coords": null, "dist": [[0, 1], [2, 0]]}')
