@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -72,10 +73,10 @@ def _log_range(key: str, entry) -> tuple[float, float] | None:
     if isinstance(entry, list) and entry:
         return None
     if (isinstance(entry, tuple) and len(entry) == 3 and entry[0] == "log-uniform"
-            and 0 < entry[1] <= entry[2]):
+            and 0 < entry[1] <= entry[2] < math.inf):
         return entry[1], entry[2]
     raise ValueError(f"search space entry {key!r} must be a ('log-uniform', lo, hi) range "
-                     f"with 0 < lo <= hi or a non-empty list of choices, got {entry!r}")
+                     f"with 0 < lo <= hi < inf or a non-empty list of choices, got {entry!r}")
 
 
 def midpoint_hyperparams(n_cities: int, representation: str) -> dict:
@@ -164,8 +165,13 @@ class SweepSummary:
 
     @property
     def median_time_to_target_s(self) -> float | None:
-        times = [t.time_to_target_s for t in self.trials if t.converged]
-        return float(np.median(times)) if times else None
+        """np.median of the converged times, whose middle two are halved
+        before they are added where their sum would overflow."""
+        times = sorted(float(t.time_to_target_s) for t in self.trials if t.converged)
+        if not times:
+            return None
+        lo, hi = times[(len(times) - 1) // 2], times[len(times) // 2]
+        return (lo + hi) / 2 if math.isfinite(lo + hi) else lo / 2 + hi / 2
 
 
 def sample_trial_hyperparams(search_space: dict, sweep_seed: int, trial: int) -> tuple[dict, int]:

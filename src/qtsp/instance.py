@@ -106,11 +106,13 @@ def read_labels(orders: np.ndarray, n_cities: int | None = None) -> np.ndarray:
 def are_permutations(orders: np.ndarray) -> np.ndarray:
     """Which rows of a (B, N) batch are permutations of 1..N, as a (B,) bool
     array: the one tour test. A row holding anything but labels, such as
-    1.5, is none. Counts each row's labels in one bincount, with what is no
-    label in the bin 0: N entries cover 1..N only if each occurs once."""
+    1.5, True or "1", is none. Counts each row's labels in one bincount,
+    with what is no label in the bin 0: N entries cover 1..N only if each
+    occurs once."""
     orders = np.asarray(orders)
     b, n = orders.shape
-    bins = np.where(are_labels(orders, n), orders, 0).astype(np.int64, copy=False)
+    numbers = orders if orders.dtype.kind in "iuf" else 0  # are_labels finds none in the rest
+    bins = np.where(are_labels(orders, n), numbers, 0).astype(np.int64, copy=False)
     bins += np.arange(0, b * (n + 1), n + 1)[:, None]  # row r counts from bin r·(N + 1)
     counts = np.bincount(bins.ravel(), minlength=b * (n + 1)).reshape(b, n + 1)
     return counts[:, 1:].all(axis=1)

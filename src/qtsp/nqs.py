@@ -155,14 +155,6 @@ class LogPsiGrad:
         return self.row
 
 
-def _single_row(log_derivatives, params: NetworkParams, config: np.ndarray) -> LogPsiGrad:
-    """The log-derivative row of one configuration."""
-    config = np.asarray(config, dtype=float)
-    if config.ndim != 1:
-        raise ValueError(f"expected a single configuration, got shape {config.shape}")
-    return LogPsiGrad(log_derivatives(params, config[None, :])[0])
-
-
 # ---------------------------------------------------------------------------
 # spin network
 # ---------------------------------------------------------------------------
@@ -185,11 +177,15 @@ def log_2cosh(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 def _rbm_theta(params: RbmParams, sigmas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A (B, n_visible) spin batch as floats, and its hidden-unit arguments
-    theta = W sigma + b, (B, n_hidden). The real batch meets Re W and Im W
-    in two real GEMMs, so it is never cast to complex."""
-    sigmas = np.asarray(sigmas, dtype=float)
-    if sigmas.ndim != 2 or sigmas.shape[1] != params.n_visible:
-        raise ValueError(f"expected (B, {params.n_visible}) spin batch, got {sigmas.shape}")
+    theta = W sigma + b, (B, n_hidden): the one reader of spins, which
+    refuses a batch of the wrong shape or of no integers or floats before
+    any cast. The real batch meets Re W and Im W in two real GEMMs, so it
+    is never cast to complex."""
+    sigmas = np.asarray(sigmas)
+    if sigmas.dtype.kind not in "iuf" or sigmas.ndim != 2 or sigmas.shape[1] != params.n_visible:
+        raise ValueError(f"expected (B, {params.n_visible}) spin batch of real numbers, "
+                         f"got {sigmas.dtype} of shape {sigmas.shape}")
+    sigmas = sigmas.astype(float, copy=False)
     theta = np.empty((sigmas.shape[0], params.n_hidden), dtype=np.complex128)
     np.matmul(sigmas, params.w.real.T, out=theta.real)
     np.matmul(sigmas, params.w.imag.T, out=theta.imag)
@@ -202,12 +198,13 @@ def rbm_log_psi(params: RbmParams, sigma: np.ndarray) -> complex | np.ndarray:
 
     Accepts a single vector or a (B, n_visible) batch.
     """
-    sigma = np.asarray(sigma, dtype=float)
-    sig, theta = _rbm_theta(params, sigma.reshape(-1, sigma.shape[-1]))
+    sigma = np.asarray(sigma)
+    single = sigma.ndim == 1
+    sig, theta = _rbm_theta(params, sigma[None] if single else sigma)
     value = log_2cosh(theta, out=theta).sum(axis=1)
     value.real += sig @ params.a.real
     value.imag += sig @ params.a.imag
-    return complex(value[0]) if sigma.ndim == 1 else value
+    return complex(value[0]) if single else value
 
 
 def rbm_log_derivatives(params: RbmParams, sigmas: np.ndarray) -> np.ndarray:
@@ -222,7 +219,10 @@ def rbm_log_derivatives(params: RbmParams, sigmas: np.ndarray) -> np.ndarray:
 
 def rbm_grad_log_psi(params: RbmParams, sigma: np.ndarray) -> LogPsiGrad:
     """Exact single-configuration gradient of log psi."""
-    return _single_row(rbm_log_derivatives, params, sigma)
+    sigma = np.asarray(sigma)
+    if sigma.ndim != 1:
+        raise ValueError(f"expected a single configuration, got shape {sigma.shape}")
+    return LogPsiGrad(rbm_log_derivatives(params, sigma[None])[0])
 
 
 def _centred_weights(energies: np.ndarray, batch: int) -> np.ndarray:
@@ -255,16 +255,11 @@ def _rbm_columns(params: RbmParams) -> tuple[np.ndarray, np.ndarray, complex]:
     return columns, offset, complex(params.a.sum())
 
 
-def rbm_tour_log_psi(params: RbmParams, tours: np.ndarray) -> np.ndarray:
-    """log psi of a (B, N) batch of tours: rbm_log_psi of their one-hot
-    spins (encoding.tours_to_sigma), from the N up columns of each tour.
-    The (B, N, n_hidden) gather is small at the sampler's batch size."""
-    return rbm_tour_log_psi_unchecked(params, read_labels(tours, math.isqrt(params.n_visible)))
-
-
-def rbm_tour_log_psi_unchecked(params: RbmParams, tours: np.ndarray) -> np.ndarray:
-    """rbm_tour_log_psi with no check, for a batch read before or a gather
-    of one, such as the sampler's swap proposals."""
+def _rbm_tour_log_psi(params: RbmParams, tours: np.ndarray) -> np.ndarray:
+    """log psi of a (B, N) batch of tours that read_labels has read, or a
+    gather of one such as the sampler's swap proposals: rbm_log_psi of
+    their one-hot spins (encoding.tours_to_sigma), from the N up columns of
+    each tour. The (B, N, n_hidden) gather is small at the sampler's batch size."""
     cities, slots = tours - 1, np.arange(tours.shape[1])
     columns, offset, a_sum = _rbm_columns(params)
     theta = columns[cities, slots].sum(axis=1)
@@ -275,18 +270,11 @@ def rbm_tour_log_psi_unchecked(params: RbmParams, tours: np.ndarray) -> np.ndarr
     return value
 
 
-def rbm_tour_energy_gradient(params: RbmParams, tours: np.ndarray,
-                             energies: np.ndarray) -> np.ndarray:
+def _rbm_tour_energy_gradient(params: RbmParams, tours: np.ndarray,
+                              energies: np.ndarray) -> np.ndarray:
     """Flat real covariance gradient 2 Re sum_b c_b conj(O_b), c = (E - mean E) / S,
-    of a (B, N) tour batch, with no (B, 2P) log-derivative matrix and no
-    (B, N^2) spin batch."""
-    labels = read_labels(tours, math.isqrt(params.n_visible))
-    return rbm_tour_energy_gradient_unchecked(params, labels, energies)
-
-
-def rbm_tour_energy_gradient_unchecked(params: RbmParams, tours: np.ndarray,
-                                       energies: np.ndarray) -> np.ndarray:
-    """rbm_tour_energy_gradient with no check, for a batch read before.
+    of a (B, N) tour batch that read_labels has read, with no (B, 2P)
+    log-derivative matrix and no (B, N^2) spin batch.
 
     With conj t = conj(tanh theta) the complex sums are c^T sigma for a,
     c^T conj t for b and (c * conj t)^T sigma for W; since the amplitude is
@@ -370,13 +358,13 @@ def cnn_log_psi(params: CnnParams, config: np.ndarray) -> complex | np.ndarray:
     """
     config = np.asarray(config)
     single = config.ndim == 1
-    value = cnn_log_psi_unchecked(params, read_labels(config[None] if single else config))
+    value = _cnn_log_psi(params, read_labels(config[None] if single else config))
     return complex(value[0]) if single else value
 
 
-def cnn_log_psi_unchecked(params: CnnParams, tours: np.ndarray) -> np.ndarray:
-    """cnn_log_psi of a (B, N) batch with no check, for a batch read before
-    or a gather of one, such as the sampler's swap proposals."""
+def _cnn_log_psi(params: CnnParams, tours: np.ndarray) -> np.ndarray:
+    """cnn_log_psi of a (B, N) batch that read_labels has read, or a gather
+    of one such as the sampler's swap proposals."""
     levels = np.asarray(tours, dtype=float)
     conv, bias, dense = _cnn_unrolled(params, levels.shape[1])
     pre = levels @ conv
@@ -409,15 +397,11 @@ def cnn_log_derivatives(params: CnnParams, configs: np.ndarray) -> np.ndarray:
     }, lead=(batch,))
 
 
-def cnn_energy_gradient(params: CnnParams, configs: np.ndarray, energies: np.ndarray) -> np.ndarray:
+def _cnn_energy_gradient(params: CnnParams, configs: np.ndarray,
+                         energies: np.ndarray) -> np.ndarray:
     """Flat real covariance gradient 2 Re sum_b c_b conj(O_b), c = (E - mean E) / S,
-    of a (B, N) level batch, without the (B, 2P) log-derivative matrix."""
-    return cnn_energy_gradient_unchecked(params, read_labels(configs), energies)
-
-
-def cnn_energy_gradient_unchecked(params: CnnParams, configs: np.ndarray,
-                                  energies: np.ndarray) -> np.ndarray:
-    """cnn_energy_gradient with no check, for a batch read before.
+    of a (B, N) level batch that read_labels has read, without the (B, 2P)
+    log-derivative matrix.
 
     Goes position by position. The (B, K+1) window with a constant bias
     column meets [Re w | Im w] over [Re b | Im b] in one GEMM, into one
@@ -455,8 +439,9 @@ def cnn_energy_gradient_unchecked(params: CnnParams, configs: np.ndarray,
 
 
 def cnn_grad_log_psi(params: CnnParams, config: np.ndarray) -> LogPsiGrad:
-    """Exact single-configuration gradient of log psi."""
-    return _single_row(cnn_log_derivatives, params, config)
+    """Exact single-configuration gradient of log psi: the row of the
+    one-config batch, which cnn_log_derivatives reads, shape included."""
+    return LogPsiGrad(cnn_log_derivatives(params, np.asarray(config)[None])[0])
 
 
 # ---------------------------------------------------------------------------

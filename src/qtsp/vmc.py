@@ -30,13 +30,11 @@ ADAM_EPS = 1e-8
 INIT_SCALE = 0.02
 
 # The network each representation runs: its qtsp.nqs kind, the VmcConfig fields
-# of its shape in init_params order (the other's stay 0), and the unchecked nqs
-# log psi and energy gradient that train calls, as local_energies reads each sample.
+# of its shape in init_params order (the other's stay 0), and the private nqs log psi
+# and energy gradient kernels that train calls; local_energies reads each sample.
 NETWORKS = {
-    "qubit": ("rbm", ("n_hidden",), "rbm_tour_log_psi_unchecked",
-              "rbm_tour_energy_gradient_unchecked"),
-    "qudit": ("cnn", ("kernel_size", "n_channels"), "cnn_log_psi_unchecked",
-              "cnn_energy_gradient_unchecked"),
+    "qubit": ("rbm", ("n_hidden",), "_rbm_tour_log_psi", "_rbm_tour_energy_gradient"),
+    "qudit": ("cnn", ("kernel_size", "n_channels"), "_cnn_log_psi", "_cnn_energy_gradient"),
 }
 
 # spawn key reserved for the parameter-init stream; chain streams use the

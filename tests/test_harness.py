@@ -6,6 +6,8 @@ from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import OVERFLOWING_DISTANCES, random_symmetric_instance, write_instance_file
 from qtsp.cli import cli
@@ -169,7 +171,7 @@ class TestSweep:
         summary that loads back."""
         from qtsp import nqs
 
-        monkeypatch.setattr(nqs, "cnn_energy_gradient_unchecked",
+        monkeypatch.setattr(nqs, "_cnn_energy_gradient",
                             lambda params, configs, energies: np.full(params.n_real_params, np.nan))
         summary = sweep(linear_instance(12), "qudit", None, 3, 0, max_steps=20)
         assert [t.reason for t in summary.trials] == ["error"] * 3
@@ -229,6 +231,7 @@ class TestSweep:
         ("learning_rate", ("uniform", 1e-3, 1e-1)), ("learning_rate", 0.01),
         ("learning_rate", ("log-uniform", 1e-1, 1e-3)), ("learning_rate", ("log-uniform", 0, 1)),
         ("n_chains", 4), ("n_chains", []), ("n_chains", ("log-uniform", 4)),
+        ("learning_rate", ("log-uniform", 1e-3, math.inf)),
     ])
     def test_any_other_entry_is_refused_naming_its_key(self, key, entry, monkeypatch):
         monkeypatch.setattr("qtsp.harness.train", lambda *args, **kwargs: pytest.fail("trained"))
@@ -303,6 +306,25 @@ class TestReport:
         rows = list(csv.reader(io.StringIO(report_convergence([a, b]))))
         assert len(rows) == 3
         assert {r[1] for r in rows[1:]} == {"qubit", "qudit"}
+
+    def test_median_of_two_times_near_the_float_maximum_is_finite(self):
+        """(a + b) / 2 of two converged times of 1.7e308 overflows, and numpy
+        warns (warnings fail the test run); the median halves them first."""
+        summary = fake_summary(6, "qudit", [True, True], [1.7e308, 1.7e308])
+        assert summary.median_time_to_target_s == 1.7e308
+        rows = list(csv.reader(io.StringIO(report_convergence([summary]))))
+        assert float(rows[1][4]) == 1.7e308
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=9))
+    @example([1.0, 1e308, 1.7e308, 1.7e308])
+    def test_median_is_numpy_median_wherever_that_is_finite(self, times):
+        summary = fake_summary(6, "qudit", [True] * len(times), times)
+        with np.errstate(over="ignore"):
+            expected = np.median(times)
+        assert math.isfinite(summary.median_time_to_target_s)
+        if math.isfinite(expected):
+            assert summary.median_time_to_target_s == expected
 
     def test_unconverged_sweep_has_blank_median(self, tmp_path):
         summary = fake_summary(4, "qudit", [False, False], [None, None])
@@ -410,7 +432,7 @@ class TestCli:
         and solve still stops with the same message and exit code."""
         from qtsp import nqs
 
-        monkeypatch.setattr(nqs, "cnn_energy_gradient_unchecked",
+        monkeypatch.setattr(nqs, "_cnn_energy_gradient",
                             lambda params, configs, energies: np.full(params.n_real_params, np.nan))
         out = tmp_path / "run.jsonl"
         assert cli(["solve", "--rep", "qudit", "--cities", "6", "--steps", "5", "--seed", "1",
@@ -625,7 +647,7 @@ class TestCli:
         way."""
         from qtsp import nqs
 
-        real = nqs.cnn_energy_gradient_unchecked
+        real = nqs._cnn_energy_gradient
         calls = []
 
         def gradient(params, configs, energies):  # a failed trial makes one call
@@ -634,7 +656,7 @@ class TestCli:
                 return np.full(params.n_real_params, np.nan)
             return real(params, configs, energies)
 
-        monkeypatch.setattr(nqs, "cnn_energy_gradient_unchecked", gradient)
+        monkeypatch.setattr(nqs, "_cnn_energy_gradient", gradient)
         path = tmp_path / "s.json"
         assert cli(["sweep", "--cities", "12", "--rep", "qudit", "--trials", "3", "--seed", "0",
                     "--steps", "5", "--out", str(path)]) == code

@@ -154,17 +154,29 @@ class TestTourLength:
 def label_batches(draw):
     """(B, N) batches mixing permutations of 1..N with rows drawn from
     -2..N+2: zeros, N + 1, negatives and repeats. Half are int64; the other
-    half are floats, some of whose entries are then no label: 1.5, NaN, inf."""
+    half are cast to another dtype. Integer and float batches keep their
+    labels (uint8 wraps the negatives to 254 and 255), and some entries of
+    a float batch are then no label: 1.5, NaN, inf. A bool, complex, str,
+    object or datetime64 batch holds no labels at all."""
     n = draw(st.integers(1, 8))
     perm = st.permutations(range(1, n + 1))
     any_row = st.lists(st.integers(-2, n + 2), min_size=n, max_size=n)
     rows = draw(st.lists(st.one_of(perm, any_row), max_size=6))
     batch = np.array(rows, dtype=np.int64).reshape(len(rows), n)
     if draw(st.booleans()):
-        batch = batch.astype(float)
+        batch = batch.astype(draw(st.sampled_from(
+            [np.float64, np.float16, np.uint8, bool, complex, str, object, "datetime64[D]"])))
+    if batch.dtype.kind == "f":
         for i in draw(st.lists(st.integers(0, batch.size - 1), max_size=2)) if batch.size else ():
             batch.flat[i] = draw(st.sampled_from([1.5, n - 0.5, np.nan, np.inf, -np.inf]))
     return batch
+
+
+def as_given(batch) -> list[list]:
+    """The rows of a batch as Python numbers where it holds integers or
+    floats. A batch of any other dtype holds no labels, so its rows come
+    back as rows of 0, which is no label either."""
+    return batch.tolist() if batch.dtype.kind in "iuf" else np.zeros(batch.shape, int).tolist()
 
 
 class TestArePermutations:
@@ -172,7 +184,7 @@ class TestArePermutations:
     @given(label_batches())
     def test_agrees_with_a_set_check_row_by_row(self, batch):
         n = batch.shape[1]
-        expected = [set(row.tolist()) == set(range(1, n + 1)) for row in batch]
+        expected = [set(row) == set(range(1, n + 1)) for row in as_given(batch)]
         assert are_permutations(batch).tolist() == expected
 
     def test_named_cases(self):
@@ -197,18 +209,12 @@ LABEL_ENTRY_POINTS = {
     "tours_to_sigma": ("labels", lambda batch, n: tours_to_sigma(batch)),
     "ring_hamiltonian_element": ("labels", _rows(
         lambda row, n: ring_hamiltonian_element(linear_instance(n), row, row, _PEN))),
-    "rbm_tour_log_psi": ("labels", lambda batch, n: nqs.rbm_tour_log_psi(
-        nqs.init_params("rbm", (n * n, 2), 0.1, 0), batch)),
-    "rbm_tour_energy_gradient": ("labels", lambda batch, n: nqs.rbm_tour_energy_gradient(
-        nqs.init_params("rbm", (n * n, 2), 0.1, 0), np.concatenate([batch, batch]),
-        np.arange(2.0 * len(batch)))),
     "cnn_log_psi": ("labels", lambda batch, n: nqs.cnn_log_psi(
         nqs.init_params("cnn", (2, 2), 0.1, 0), batch)),
     "cnn_log_derivatives": ("labels", lambda batch, n: nqs.cnn_log_derivatives(
         nqs.init_params("cnn", (2, 2), 0.1, 0), batch)),
-    "cnn_energy_gradient": ("labels", lambda batch, n: nqs.cnn_energy_gradient(
-        nqs.init_params("cnn", (2, 2), 0.1, 0), np.concatenate([batch, batch]),
-        np.arange(2.0 * len(batch)))),
+    "cnn_grad_log_psi": ("labels", _rows(
+        lambda row, n: nqs.cnn_grad_log_psi(nqs.init_params("cnn", (2, 2), 0.1, 0), row))),
     "is_permutation": ("answers", _rows(is_permutation)),
     "are_permutations": ("answers", lambda batch, n: are_permutations(batch).tolist()),
     "qudit_diagonal_energy": ("answers", _rows(
@@ -218,7 +224,8 @@ LABEL_ENTRY_POINTS = {
 
 class TestTheLabelRule:
     """Every entry point takes labels as given: 2.0 is the label 2, and 1.5,
-    NaN, inf, a label outside 1..N or a batch of the wrong shape raise
+    NaN, inf, a label outside 1..N, an entry of a batch of no integer or
+    float dtype (True, 1+0j, "1") or a batch of the wrong shape raise
     InvalidTourError, with no warning (warnings fail the test run). Repeats
     are refused only where tours are asked for; the tests answer instead."""
 
@@ -229,8 +236,9 @@ class TestTheLabelRule:
         rule, call = LABEL_ENTRY_POINTS[name]
         n = batch.shape[1]
         assume(n >= 2 and len(batch) >= 1)
-        labels = all(x in range(1, n + 1) for x in batch.ravel().tolist())
-        tours = [sorted(row.tolist()) == list(range(1, n + 1)) for row in batch]
+        rows = as_given(batch)
+        labels = all(x in range(1, n + 1) for row in rows for x in row)
+        tours = [sorted(row) == list(range(1, n + 1)) for row in rows]
         if rule == "answers":
             assert call(batch, n) == tours
         elif labels and (rule == "labels" or all(tours)):
@@ -246,8 +254,7 @@ class TestTheLabelRule:
         tours = np.array([[1, 2, 3], [3, 2, 1]])
         with pytest.raises(InvalidTourError):
             call(tours[None], 3)  # one axis too many: each row is a batch, not a tour
-        if name in ("tour_length", "local_energies", "ring_hamiltonian_element",
-                    "rbm_tour_log_psi", "rbm_tour_energy_gradient"):
+        if name in ("tour_length", "local_energies", "ring_hamiltonian_element"):
             with pytest.raises(InvalidTourError):
                 call(tours, 4)  # three labels where the instance or network has four cities
 

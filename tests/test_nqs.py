@@ -94,15 +94,31 @@ class TestRbmLogPsi:
     @pytest.mark.parametrize("evaluate, message", [
         (nqs.rbm_log_psi, r"expected \(B, 4\) spin batch"),
         (nqs.rbm_log_derivatives, r"expected \(B, 4\) spin batch"),
-        (lambda params, tours: nqs.rbm_tour_energy_gradient(params, tours, np.arange(len(tours))),
-         r"expected a \(B, 2\) batch of tours"),
-        (nqs.rbm_tour_log_psi, r"expected a \(B, 2\) batch of tours"),
-    ], ids=["log_psi", "log_derivatives", "energy_gradient", "tour_log_psi"])
+    ], ids=["log_psi", "log_derivatives"])
     def test_dimension_mismatch_every_entry_point(self, evaluate, message):
-        """Five spins for a four-spin network; as tours, five cities for two."""
+        """Five spins for a four-spin network."""
         params = nqs.init_params("rbm", (4, 2), 0.1, 0)
         with pytest.raises(ValueError, match=message):
             evaluate(params, np.ones((2, 5)))
+
+    @pytest.mark.parametrize("spins", [
+        np.array(["1", "-1", "1", "1"]),
+        np.array([True, False, True, True]),
+        np.array([1.0, None, 1.0, -1.0], dtype=object),
+        np.array([1.0, -1.0, 1.0, 1.0], dtype=complex),
+    ], ids=["str", "bool", "object-none", "complex"])
+    @pytest.mark.parametrize("evaluate", [
+        nqs.rbm_log_psi,
+        lambda params, sigma: nqs.rbm_log_derivatives(params, sigma[None]),
+        nqs.rbm_grad_log_psi,
+    ], ids=["log_psi", "log_derivatives", "grad_log_psi"])
+    def test_spins_of_no_integer_or_float_dtype_are_refused(self, evaluate, spins):
+        """"1" and True are no spins, None is no number and 1+0j warns on a
+        cast: each is refused by the shape check's ValueError, before any
+        cast and with no warning (warnings fail the test run)."""
+        params = nqs.init_params("rbm", (4, 2), 0.1, 0)
+        with pytest.raises(ValueError, match=r"expected \(B, 4\) spin batch"):
+            evaluate(params, spins)
 
     def test_deterministic(self):
         params = nqs.init_params("rbm", (4, 2), 0.3, 9)
@@ -156,7 +172,7 @@ class TestRbmLogPsi:
 
 
 class TestRbmTours:
-    """The tour entries read the up columns of the one-hot spins."""
+    """The tour kernels read the up columns of the one-hot spins."""
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(2, 12), batch=st.integers(1, 64), hidden=st.integers(1, 24),
@@ -168,19 +184,10 @@ class TestRbmTours:
         params = nqs.init_params("rbm", (n * n, hidden), scale, seed)
         tours = np.stack([rng.permutation(np.arange(1, n + 1)) for _ in range(batch)])
         size = np.abs(params.a).sum() + (np.abs(params.w).sum(axis=1) + np.abs(params.b)).sum()
-        got = nqs.rbm_tour_log_psi(params, tours)
+        got = nqs._rbm_tour_log_psi(params, tours)
         assert got.shape == (batch,)
         np.testing.assert_allclose(got, nqs.rbm_log_psi(params, tours_to_sigma(tours)),
                                    rtol=0, atol=1e-12 * max(1.0, size))
-
-    @pytest.mark.parametrize("label", [0, 4, -1])
-    def test_labels_outside_one_to_n_are_named(self, label):
-        params = nqs.init_params("rbm", (9, 2), 0.1, 0)
-        tours = np.array([[1, 2, 3], [3, label, 1]])
-        with pytest.raises(ValueError, match=f"tour label {label} outside 1..3"):
-            nqs.rbm_tour_log_psi(params, tours)
-        with pytest.raises(ValueError, match=f"tour label {label} outside 1..3"):
-            nqs.rbm_tour_energy_gradient(params, tours, np.ones(2))
 
     @pytest.mark.parametrize("n_visible", [2, 5, 8, 10])
     def test_a_network_of_no_square_size_takes_no_tours(self, n_visible):
@@ -190,9 +197,9 @@ class TestRbmTours:
         width = math.isqrt(n_visible)
         tours = np.array([np.arange(1, width + 1), np.arange(width, 0, -1)])
         with pytest.raises(InvalidTourError):
-            nqs.rbm_tour_log_psi(params, tours)
+            nqs._rbm_tour_log_psi(params, tours)
         with pytest.raises(InvalidTourError):
-            nqs.rbm_tour_energy_gradient(params, tours, np.arange(2.0))
+            nqs._rbm_tour_energy_gradient(params, tours, np.arange(2.0))
 
     def test_a_single_config_entry_refuses_a_batch(self):
         params = nqs.init_params("rbm", (4, 2), 0.1, 0)
@@ -307,7 +314,7 @@ class TestCnnLogPsi:
     @pytest.mark.parametrize("evaluate", [
         nqs.cnn_log_psi,
         nqs.cnn_log_derivatives,
-        lambda params, configs: nqs.cnn_energy_gradient(params, configs, np.arange(len(configs))),
+        lambda params, configs: nqs._cnn_energy_gradient(params, configs, np.arange(len(configs))),
     ], ids=["log_psi", "log_derivatives", "energy_gradient"])
     def test_kernel_larger_than_ring_every_entry_point(self, evaluate):
         params = nqs.init_params("cnn", (5, 2), 0.1, 0)
@@ -422,7 +429,7 @@ class TestEnergyGradient:
         tours = np.stack([rng.permutation(np.arange(1, n + 1)) for _ in range(batch)])
         energies = _random_energies(rng, batch, constant)
         o_matrix = nqs.rbm_log_derivatives(params, tours_to_sigma(tours))
-        _assert_matches_oracle(nqs.rbm_tour_energy_gradient(params, tours, energies),
+        _assert_matches_oracle(nqs._rbm_tour_energy_gradient(params, tours, energies),
                                estimate_gradient(energies, o_matrix), energies, o_matrix, constant)
 
     @settings(max_examples=40, deadline=None)
@@ -440,7 +447,7 @@ class TestEnergyGradient:
                             for _ in range(batch)]).astype(float)
         energies = _random_energies(rng, batch, constant)
         o_matrix = nqs.cnn_log_derivatives(params, configs)
-        _assert_matches_oracle(nqs.cnn_energy_gradient(params, configs, energies),
+        _assert_matches_oracle(nqs._cnn_energy_gradient(params, configs, energies),
                                estimate_gradient(energies, o_matrix), energies, o_matrix, constant)
 
     def test_shape_guards(self):
@@ -448,13 +455,13 @@ class TestEnergyGradient:
         cnn = nqs.init_params("cnn", (2, 2), 0.1, 0)
         configs = np.array([[1.0, 2.0], [2.0, 1.0], [1.0, 2.0]])
         with pytest.raises(ValueError):
-            nqs.rbm_tour_energy_gradient(rbm, configs, np.ones(4))
+            nqs._rbm_tour_energy_gradient(rbm, configs, np.ones(4))
         with pytest.raises(ValueError):
-            nqs.rbm_tour_energy_gradient(rbm, configs[:1], np.ones(1))
+            nqs._rbm_tour_energy_gradient(rbm, configs[:1], np.ones(1))
         with pytest.raises(ValueError):
-            nqs.cnn_energy_gradient(cnn, configs, np.ones(2))
+            nqs._cnn_energy_gradient(cnn, configs, np.ones(2))
         with pytest.raises(ValueError):
-            nqs.cnn_energy_gradient(cnn, configs[0], np.ones(2))
+            nqs._cnn_energy_gradient(cnn, configs[0], np.ones(2))
 
 
 class TestGradientMemory:
@@ -473,7 +480,7 @@ class TestGradientMemory:
         params = nqs.init_params("rbm", (self.n ** 2, 2 * self.n), 0.05, 0)
         tours = self._tours(rng)
         energies = rng.uniform(0.0, 100.0, self.batch)
-        assert (traced_peak(nqs.rbm_tour_energy_gradient, params, tours, energies)
+        assert (traced_peak(nqs._rbm_tour_energy_gradient, params, tours, energies)
                 < tours_to_sigma(tours).nbytes)
 
     def test_rbm_log_psi_peak_within_two_and_a_half_thetas(self):
@@ -491,7 +498,7 @@ class TestGradientMemory:
         configs = self._tours(rng).astype(float)
         energies = rng.uniform(0.0, 100.0, self.batch)
         preactivations = self.batch * self.n * 2 * channels * 8   # (B, N * 2F) float64 bytes
-        assert traced_peak(nqs.cnn_energy_gradient, params, configs, energies) < 2.5 * preactivations
+        assert traced_peak(nqs._cnn_energy_gradient, params, configs, energies) < 2.5 * preactivations
 
     @pytest.mark.parametrize("n", [12, 48])
     def test_cnn_peak_below_half_a_preactivation_array(self, n):
@@ -503,7 +510,7 @@ class TestGradientMemory:
         configs = self._tours(rng, n).astype(float)
         energies = rng.uniform(0.0, 100.0, self.batch)
         preactivations = self.batch * n * 2 * channels * 8        # (B, N * 2F) float64 bytes
-        assert traced_peak(nqs.cnn_energy_gradient, params, configs, energies) < preactivations / 2
+        assert traced_peak(nqs._cnn_energy_gradient, params, configs, energies) < preactivations / 2
 
 
 class TestInitParams:

@@ -529,7 +529,7 @@ BORN_CHAINS = 5_000       # per block; four blocks make 20,000 independent chain
 BORN_STEPS = 50           # recorded steps per chain, after the warm-up
 BORN_NETWORKS = {         # random networks: the CNN's law is near uniform, the RBM's peaked
     "cnn": lambda: partial(nqs.cnn_log_psi, nqs.init_params("cnn", (3, 4), 0.4, 1)),
-    "rbm": lambda: partial(nqs.rbm_tour_log_psi, nqs.init_params("rbm", (25, 10), 0.15, 1)),
+    "rbm": lambda: partial(nqs._rbm_tour_log_psi, nqs.init_params("rbm", (25, 10), 0.15, 1)),
 }
 
 

@@ -343,7 +343,7 @@ class TestTrain:
         assert all(s["acceptance_min"] <= s["acceptance_rate"] <= s["acceptance_max"]
                    for s in steps)
         assert any(s["acceptance_min"] < s["acceptance_max"] for s in steps)
-        monkeypatch.setattr(nqs, "cnn_log_psi_unchecked", lambda params, tours: np.zeros(len(tours)))
+        monkeypatch.setattr(nqs, "_cnn_log_psi", lambda params, tours: np.zeros(len(tours)))
         assert all(s["acceptance_min"] == s["acceptance_rate"] == s["acceptance_max"] == 1.0
                    for s in step_lines())
 
@@ -541,7 +541,7 @@ class TestInitNetwork:
 
     def test_the_sampler_reads_no_labels_on_the_qubit_path(self, monkeypatch):
         """Proposals are swaps of init_chains' tours, so the spin network the
-        sampler calls is the unchecked form; the public entry still reads."""
+        sampler calls is the private tour kernel."""
         cfg = midpoint_vmc_config(6, "qubit", seed=1, max_steps=1)
         params, log_psi, _ = init_network(cfg, 6)
         chains = init_chains(linear_instance(6), cfg.sampler)
@@ -552,8 +552,6 @@ class TestInitNetwork:
         monkeypatch.setattr(nqs, "read_labels", no_reading)
         sample = run_chains(chains, partial(log_psi, params), cfg.sampler)
         assert sample.configs.shape == (cfg.sampler.sample_size, 6)
-        with pytest.raises(AssertionError, match="read tour labels"):
-            nqs.rbm_tour_log_psi(params, sample.configs)
 
     @pytest.mark.parametrize("representation", ["qubit", "qudit"])
     def test_training_reads_labels_once_per_step(self, representation, monkeypatch):
