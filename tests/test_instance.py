@@ -256,7 +256,7 @@ class TestTheLabelRule:
             call(tours[None], 3)  # one axis too many: each row is a batch, not a tour
         if name in ("tour_length", "local_energies", "ring_hamiltonian_element"):
             with pytest.raises(InvalidTourError):
-                call(tours, 4)  # three labels where the instance or network has four cities
+                call(tours, 4)  # three labels where the instance has four cities
 
     def test_the_tests_answer_false_on_a_wrong_shape(self):
         assert not is_permutation([[1, 2, 3]], 3)
